@@ -1,9 +1,9 @@
 // Calibrated-versus-default planner benchmarks: the same all-reduce on
 // the same live transport, planned once with the built-in ParagonLike
 // guesses and once with a profile measured on that transport moments
-// before. `make bench` records both in BENCH_9.json, so the crossover
-// placement on chan and TCP is part of the perf trajectory; the
-// deterministic win assertion lives in calibrate_test.go.
+// before, so the crossover placement on chan and TCP can be inspected
+// with `go test -bench CalibratedPlanner`; the deterministic win
+// assertion lives in calibrate_test.go.
 package icc_test
 
 import (

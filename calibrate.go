@@ -78,13 +78,6 @@ func endpointBase(ep transport.Endpoint, level int) (model.Machine, bool) {
 	if hp, ok := ep.(interface{ Hierarchy() model.Hierarchy }); ok {
 		return hp.Hierarchy().At(level), true
 	}
-	if tp, ok := ep.(interface{ TwoLevel() model.TwoLevel }); ok {
-		tl := tp.TwoLevel()
-		if level == 0 {
-			return tl.Global, true
-		}
-		return tl.Local, true
-	}
 	if mp, ok := ep.(interface{ Machine() model.Machine }); ok {
 		return mp.Machine(), true
 	}
@@ -375,6 +368,5 @@ func applyProfile(c *Comm, p *Profile, prov string) {
 	c.mach, c.hasMach, c.machProv = p.Machine, true, prov
 	if len(p.Levels) > 0 {
 		c.hier, c.hasHier = p.Hierarchy(), true
-		c.tl, c.hasTL = p.TwoLevel(), true
 	}
 }

@@ -19,7 +19,7 @@
 // racks of 64 containing nodes of 8), each level's α and β another -ratio
 // factor worse than the one below, comparing flat, coarsest-partition
 // two-level, and full recursive hierarchy. -json emits the same JSON
-// schema as cmd/sweep -json (an array of {title, header, rows, notes}
+// schema as cmd/paper sweep -json (an array of {title, header, rows, notes}
 // tables), so perf trajectories from the two tools are directly
 // comparable.
 package main

@@ -76,32 +76,22 @@ type Comm struct {
 	// per-pair FIFO ordering, which SPMD call discipline guarantees.
 	ctxID uint32
 	seq   *atomic.Uint32 // per-rank context id allocator, shared with subgroups
-	// Two-level hierarchy state. clusters partitions the group's logical
-	// indices (set by WithClusters); tl holds the two-level machine
-	// parameters; gplanner costs flat hybrids with the Global parameters,
-	// the honest flat baseline on a clustered machine.
-	clusters    group.Cluster
-	hasClusters bool
-	// clSizes and clContig cache immutable partition properties consulted
-	// on every auto-mode collective call.
-	clSizes  []int
-	clContig bool
-	tl       model.TwoLevel
-	hasTL    bool
-	gplanner *model.Planner
-	// N-level hierarchy state. topo is the nested partition (WithTopology);
-	// when set, clusters mirrors its top level so every two-level code path
-	// keeps working. hier holds per-level machine parameters (WithMachines,
-	// or the endpoint's own); unstriped disables the striped all-reduce
-	// leader phase for comparison sweeps.
+	// Hierarchy state. topo is the nested partition of the group's logical
+	// indices (WithTopology; WithClusters attaches a depth-1 one); hier
+	// holds per-level machine parameters, coarsest first (WithMachines,
+	// WithTwoLevel, a profile, or the endpoint's own); gplanner costs flat
+	// hybrids with the coarsest level's parameters, the honest flat
+	// baseline on a hierarchical machine; unstriped disables the striped
+	// all-reduce leader phase for comparison sweeps.
 	topo      group.Topology
 	hasTopo   bool
 	hier      model.Hierarchy
 	hasHier   bool
+	gplanner  *model.Planner
 	unstriped bool
 	// Plan-amortization state (persistent.go, nonblocking.go, request.go).
-	// All lazily initialized under planMu, so sub-communicators built as
-	// struct literals start with valid zero values. shapeMemo short-circuits
+	// All lazily initialized under planMu, so communicators built by
+	// derive start with valid zero values. shapeMemo short-circuits
 	// shape resolution for repeated (collective, length) calls on the
 	// blocking path; plans caches full step plans for the persistent and
 	// non-blocking paths; hits/misses feed PlanCacheStats.
@@ -170,10 +160,10 @@ func WithRecvTimeout(d time.Duration) Option {
 // WithTwoLevel attaches two-level machine parameters: local for ranks in
 // the same cluster, global for the inter-cluster network. Together with a
 // cluster partition (WithClusters) they let the automatic policy weigh
-// hierarchical collectives against flat hybrids. Simulated two-level
-// endpoints supply these automatically.
+// hierarchical collectives against flat hybrids. It is WithMachines(global,
+// local); simulated hierarchical endpoints supply these automatically.
 func WithTwoLevel(local, global Machine) Option {
-	return func(c *Comm) { c.tl, c.hasTL = model.TwoLevel{Local: local, Global: global}, true }
+	return WithMachines(global, local)
 }
 
 // WithMachines attaches one machine parameter set per hierarchy level,
@@ -211,9 +201,6 @@ func New(ep transport.Endpoint, opts ...Option) (*Comm, error) {
 	c.ctxID = c.seq.Add(1) & 0x7f
 	if mp, ok := ep.(interface{ Machine() model.Machine }); ok {
 		c.mach, c.hasMach, c.machProv = mp.Machine(), true, "transport-declared"
-	}
-	if tp, ok := ep.(interface{ TwoLevel() model.TwoLevel }); ok {
-		c.tl, c.hasTL = tp.TwoLevel(), true
 	}
 	if hp, ok := ep.(interface{ Hierarchy() model.Hierarchy }); ok {
 		c.hier, c.hasHier = hp.Hierarchy(), true
@@ -278,41 +265,24 @@ func (c *Comm) ctx() core.Ctx {
 		Coll:    c.ctxID,
 		Machine: &c.mach,
 	}
-	if c.hasClusters {
-		x.Clusters = &c.clusters
-		tl := c.twoLevel()
-		x.Hier = &tl
-	}
 	if c.hasTopo {
 		x.Topology = &c.topo
-	}
-	if c.hasTopo || (c.hasHier && c.hasClusters) {
-		h := c.hierarchy()
-		x.Hierarchy = &h
+		if c.hasHier {
+			// Without per-level parameters the executor prices every
+			// level with Machine, which is hierarchy()'s fallback too.
+			x.Hierarchy = &c.hier
+		}
 	}
 	x.Unstriped = c.unstriped
 	return x
 }
 
-// twoLevel returns the two-level machine, defaulting both levels to the
-// flat machine parameters when none were supplied (on which the hierarchy
-// never wins, so auto-selection stays flat).
-func (c *Comm) twoLevel() model.TwoLevel {
-	if c.hasTL {
-		return c.tl
-	}
-	return model.Uniform(c.mach)
-}
-
-// hierarchy returns the per-level machine parameters, synthesized from the
-// two-level pair or the flat machine when no deeper set was supplied (on
-// the latter the hierarchy never wins, so auto-selection stays flat).
+// hierarchy returns the per-level machine parameters, defaulting every
+// level to the flat machine when none were supplied (on which the
+// hierarchy never wins, so auto-selection stays flat).
 func (c *Comm) hierarchy() model.Hierarchy {
 	if c.hasHier {
 		return c.hier
-	}
-	if c.hasTL {
-		return c.tl.Hierarchy()
 	}
 	return model.UniformHierarchy(c.mach)
 }
@@ -348,25 +318,19 @@ func (c *Comm) resolveShape(coll model.Collective, nBytes int) Shape {
 	case algShape:
 		return c.alg.shape
 	case algHier:
-		if c.hasClusters {
+		if c.hasTopo {
 			return model.HierShape()
 		}
 		s, _ := c.planner.Best(coll, c.layout, nBytes)
 		return s
 	default:
-		if c.hasClusters {
-			// On a clustered machine a flat collective pays the coarsest
+		if c.hasTopo {
+			// On a hierarchical machine a flat collective pays the coarsest
 			// network on most hops, so both the flat shape and the flat
 			// baseline cost come from the coarse-parameter planner; run
 			// the hierarchy when the recursive composition undercuts it.
 			sg, flat := c.gplanner.Best(coll, c.layout, nBytes)
-			var h float64
-			if c.hasTopo {
-				h = c.hierarchy().Cost(coll, c.topo, float64(nBytes))
-			} else {
-				h = c.twoLevel().HierCost(coll, c.clSizes, c.clContig, float64(nBytes))
-			}
-			if h < flat {
+			if c.hierarchy().Cost(coll, c.topo, float64(nBytes)) < flat {
 				return model.HierShape()
 			}
 			return sg
@@ -694,7 +658,7 @@ func (c *Comm) AllToAllv(send []byte, sendCounts []int, recv []byte, recvCounts 
 		sb, rb = send[:sTotal], recv[:rTotal]
 	}
 	var s Shape
-	if c.alg.kind == algHier && c.hasClusters {
+	if c.alg.kind == algHier && c.hasTopo {
 		s = model.HierShape()
 	}
 	return core.AllToAllv(c.ctx(), s, sb, sendCounts, rb, recvCounts, dt.Size())

@@ -34,50 +34,40 @@
 // mapping, and sub-communicators (rows, columns, arbitrary subsets) run
 // the same algorithms, planned against their detected physical structure.
 //
-// # Hierarchical two-level collectives
+// # Hierarchical collectives
 //
-// Modern clusters expose two networks: ranks sharing a node communicate
-// through memory (low α, high bandwidth), ranks on different nodes through
-// a NIC that every rank of the node shares. Declaring the rank→node map
-// with Comm.WithClusters (or WithClustersBySize) lets the library compose
-// collectives hierarchically from the same building blocks: an
-// intra-cluster phase inside each cluster, a leader-level phase among one
-// representative per cluster, and an intra-cluster fan-out — broadcast,
-// reduce, all-reduce, collect and reduce-scatter all have two-level forms,
-// and each phase independently picks its short or long algorithm.
+// Modern machines nest: ranks sharing a node communicate through memory
+// (low α, high bandwidth), ranks on different nodes through a NIC that
+// every rank of the node shares, nodes sit in racks behind a slower
+// network still. Comm.WithTopology declares any number of nested
+// partition levels, coarsest first (WithTopologyBySizes is the
+// block-major shorthand), and the library composes collectives
+// hierarchically from the same building blocks: an intra-block phase at
+// the deepest level, one leader phase per coarser level among one
+// representative per block, and the fan-out back down — broadcast,
+// reduce, all-reduce, collect, reduce-scatter and all-to-all all have
+// hierarchical forms, and each phase independently picks its short or
+// long algorithm. Partitions may be arbitrary (uneven sizes,
+// non-contiguous placement such as round-robin ranks).
 //
-// The two-level cost model (model.TwoLevel, attached with WithTwoLevel or
-// supplied by a simulated two-level endpoint) prices the composition
-// against the best flat hybrid — flat collectives are planned as
-// structure-blind linear arrays, which is all the library can honestly
-// assume when the cluster map is the only declared structure — and the
-// automatic policy switches to the hierarchy exactly when the model
-// predicts a win. AlgHier forces it; cluster partitions may be arbitrary
-// (uneven sizes, non-contiguous placement such as round-robin ranks).
+// A cluster partition is a depth-1 topology: the rank→node map declared
+// with Comm.WithClusters (or WithClustersBySize) is WithTopology with a
+// single level, and the two-level machine of WithTwoLevel(local, global)
+// is WithMachines(global, local). There is one representation, one cost
+// model and one executor; the two-level names are conveniences.
 //
-//	h, _ := c.WithClustersBySize(8) // 8 ranks per node, node-major
-//	h.AllReduce(send, recv, n, icc.Float64, icc.Sum)
-//
-// SimulateClusters runs SPMD programs on a simulated two-level machine
-// whose inter-cluster messages pay a slower α/β and share one
-// uplink/downlink per cluster; cmd/hiersweep sweeps flat versus
-// hierarchical across scales and placements.
-//
-// # N-level topologies
-//
-// Real machines nest more than once: racks contain nodes contain
-// sockets. Comm.WithTopology declares any number of nested partition
-// levels, coarsest first (WithTopologyBySizes is the block-major
-// shorthand), and every hierarchical collective composes recursively —
-// an intra-block phase at the deepest level, then one leader phase per
-// coarser level, each independently planned. WithClusters is exactly
-// the depth-1 case and behaves as before. Per-level machine parameters
-// attach with WithMachines (coarsest first, deepest last); the
-// recursive cost model (model.Hierarchy) prices the whole tree against
-// the flat hybrid and against shallower compositions, so AlgAuto uses
-// exactly as many levels as pay for themselves.
+// Per-level machine parameters attach with WithMachines (coarsest first,
+// deepest last) or come from a profile or a simulated endpoint. The
+// recursive cost model (model.Hierarchy) prices the whole tree against the
+// best flat hybrid — flat collectives are planned as structure-blind
+// linear arrays with the coarsest level's parameters, which is all the
+// library can honestly assume when the partition is the only declared
+// structure — and against shallower compositions, so AlgAuto switches to
+// the hierarchy exactly when the model predicts a win and uses exactly as
+// many levels as pay for themselves. AlgHier forces it.
 //
 //	h, _ := c.WithTopologyBySizes(64, 8) // racks of 64, nodes of 8
+//	// or c.WithClustersBySize(8): nodes of 8 only, node-major
 //	h.AllReduce(send, recv, n, icc.Float64, icc.Sum)
 //
 // Two refinements matter at depth. The leader phase of a hierarchical
@@ -90,11 +80,13 @@
 // per-pair count matrix, then trade aggregated cluster-pair blocks, so
 // the shared links see Θ(K²) messages instead of Θ(p²).
 //
-// SimulateHierarchy is the N-level analogue of SimulateClusters: a
-// switched tree in which each block at each level owns one uplink and
-// one downlink, so deep traffic contends on every boundary it crosses.
-// cmd/hiersweep's -levels flag sweeps flat versus 2-level versus
-// N-level across placements.
+// SimulateHierarchy runs SPMD programs on a simulated switched tree in
+// which messages crossing a level-l boundary pay that level's slower α/β
+// and each block at each level owns one uplink and one downlink, so deep
+// traffic contends on every boundary it crosses; SimulateClusters is its
+// one-level case. cmd/hiersweep sweeps flat versus hierarchical across
+// scales and placements, and with -levels flat versus 2-level versus
+// N-level.
 //
 // # Complete exchange (all-to-all)
 //
@@ -337,6 +329,8 @@
 //	    return c.Bcast(x, len(x), datatype.Uint8, 0)
 //	})
 //
-// See examples/ for complete programs and EXPERIMENTS.md for the
-// reproduction of every table and figure in the paper.
+// See examples/ for complete programs; `go run ./cmd/paper <name>`
+// regenerates every table, figure and study of the paper (table2, table3,
+// fig1trace, fig2, fig4, crossover, sweep, ablate, edst, groupstudy,
+// port).
 package icc

@@ -38,36 +38,44 @@ func (c *Comm) Sub(ranks []int) (*Comm, error) {
 		phys = group.Linear(c.ep.Size())
 	}
 	sub, _ := group.DetectStructure(members, phys)
+	return c.derive(members, me, sub), nil
+}
+
+// derive returns a communicator over the given group that inherits c's
+// endpoint, machine parameters, planner, policy and context-id allocator
+// — everything but the group itself and the topology attached to it. It
+// is the one place a communicator is built from another, so a new
+// inherited field is added here once.
+func (c *Comm) derive(members []int, me int, layout group.Layout) *Comm {
 	s := &Comm{
 		ep:        c.ep,
 		members:   members,
 		me:        me,
-		layout:    sub,
+		layout:    layout,
 		mach:      c.mach,
 		hasMach:   c.hasMach,
 		machProv:  c.machProv,
 		planner:   c.planner,
 		alg:       c.alg,
 		seq:       c.seq,
-		tl:        c.tl,
-		hasTL:     c.hasTL,
 		hier:      c.hier,
 		hasHier:   c.hasHier,
 		unstriped: c.unstriped,
 		epoch:     c.epoch,
 	}
 	s.ctxID = c.seq.Add(1) & 0x7f
-	return s, nil
+	return s
 }
 
 // WithClusters returns a communicator identical to c but carrying a
-// two-level cluster partition: of[r] names the cluster (node) of rank r,
-// for every rank of the communicator. Cluster ids are arbitrary labels;
-// they are normalized internally. With a partition attached, the automatic
-// policy weighs hierarchical collectives — intra-cluster phases composed
-// with a leader-level phase — against flat hybrids using the two-level
-// machine parameters (WithTwoLevel, or the endpoint's own), and AlgHier
-// forces them. Every member must call WithClusters with the same map.
+// two-level cluster partition — a depth-1 topology: of[r] names the
+// cluster (node) of rank r, for every rank of the communicator. Cluster
+// ids are arbitrary labels; they are normalized internally. With a
+// partition attached, the automatic policy weighs hierarchical collectives
+// — intra-cluster phases composed with a leader-level phase — against flat
+// hybrids using the per-level machine parameters (WithTwoLevel,
+// WithMachines, or the endpoint's own), and AlgHier forces them. Every
+// member must call WithClusters with the same map.
 func (c *Comm) WithClusters(of map[int]int) (*Comm, error) {
 	assign := make([]int, c.Size())
 	for r := range assign {
@@ -80,66 +88,25 @@ func (c *Comm) WithClusters(of map[int]int) (*Comm, error) {
 	if len(of) != c.Size() {
 		return nil, fmt.Errorf("icc: cluster map names %d ranks, communicator has %d", len(of), c.Size())
 	}
-	return c.withClusterAssignment(assign)
+	return c.WithTopology(assign)
 }
 
 // WithClustersBySize returns a communicator whose ranks are partitioned
 // into consecutive clusters of the given size (the last may be smaller) —
 // the conventional node-major rank layout.
 func (c *Comm) WithClustersBySize(size int) (*Comm, error) {
-	cl, err := group.ClusterBySize(c.Size(), size)
-	if err != nil {
-		return nil, err
-	}
-	return c.withClusterAssignment(cl.Assignment())
-}
-
-func (c *Comm) withClusterAssignment(assign []int) (*Comm, error) {
-	cl, err := group.NewCluster(assign)
-	if err != nil {
-		return nil, err
-	}
-	if err := cl.Validate(c.Size()); err != nil {
-		return nil, err
-	}
-	s := &Comm{
-		ep:          c.ep,
-		members:     append([]int(nil), c.members...),
-		me:          c.me,
-		layout:      c.layout,
-		mach:        c.mach,
-		hasMach:     c.hasMach,
-		machProv:    c.machProv,
-		planner:     c.planner,
-		alg:         c.alg,
-		seq:         c.seq,
-		tl:          c.tl,
-		hasTL:       c.hasTL,
-		hier:        c.hier,
-		hasHier:     c.hasHier,
-		unstriped:   c.unstriped,
-		epoch:       c.epoch,
-		clusters:    cl,
-		hasClusters: true,
-		clSizes:     cl.Sizes(),
-		clContig:    cl.Contiguous(),
-	}
-	s.gplanner = model.NewPlanner(s.coarsest())
-	s.gplanner.SetProvenance(c.machProv + " (coarsest level)")
-	s.ctxID = c.seq.Add(1) & 0x7f
-	return s, nil
+	return c.WithTopologyBySizes(size)
 }
 
 // WithTopology returns a communicator identical to c but carrying an
 // N-level nested partition of its ranks, coarsest level first: levels[0]
 // names each rank's top-level block (rack), levels[1] its block at the
 // next level down (node), and so on — each deeper level must nest inside
-// the one above. The top level doubles as the two-level cluster partition,
-// so everything WithClusters enables works unchanged; with per-level
-// machine parameters attached (WithMachines, or the endpoint's own) the
-// automatic policy weighs the recursive hierarchical composition against
-// flat hybrids, and AlgHier forces it. A single level is exactly
-// WithClusters. Every member must call WithTopology with the same levels.
+// the one above. With per-level machine parameters attached (WithMachines,
+// or the endpoint's own) the automatic policy weighs the recursive
+// hierarchical composition against flat hybrids, and AlgHier forces it. A
+// single level is exactly WithClusters. Every member must call
+// WithTopology with the same levels.
 func (c *Comm) WithTopology(levels ...[]int) (*Comm, error) {
 	t, err := group.NewTopology(levels...)
 	if err != nil {
@@ -164,13 +131,17 @@ func (c *Comm) withTopology(t group.Topology) (*Comm, error) {
 	if err := t.Validate(c.Size()); err != nil {
 		return nil, err
 	}
-	s, err := c.withClusterAssignment(t.Top().Assignment())
-	if err != nil {
-		return nil, err
-	}
-	s.topo = t
-	s.hasTopo = true
+	s := c.derive(append([]int(nil), c.members...), c.me, c.layout)
+	s.attach(t)
 	return s, nil
+}
+
+// attach hangs topology t on c, with the planner that prices the flat
+// baseline at the coarsest level's parameters.
+func (c *Comm) attach(t group.Topology) {
+	c.topo, c.hasTopo = t, true
+	c.gplanner = model.NewPlanner(c.hierarchy().At(0))
+	c.gplanner.SetProvenance(c.machProv + " (coarsest level)")
 }
 
 // Topology returns copies of the communicator's normalized per-level
@@ -178,31 +149,19 @@ func (c *Comm) withTopology(t group.Topology) (*Comm, error) {
 // A communicator built with WithClusters reports its partition as a
 // single level.
 func (c *Comm) Topology() [][]int {
-	if c.hasTopo {
-		return c.topo.Assignments()
-	}
-	if c.hasClusters {
-		return [][]int{c.clusters.Assignment()}
-	}
-	return nil
-}
-
-// coarsest returns the machine pricing the coarsest network level, the
-// honest flat baseline on a hierarchical machine.
-func (c *Comm) coarsest() model.Machine {
-	if c.hasHier {
-		return c.hier.At(0)
-	}
-	return c.twoLevel().Global
-}
-
-// Clusters returns the communicator's normalized rank→cluster assignment,
-// or nil when no partition is attached.
-func (c *Comm) Clusters() []int {
-	if !c.hasClusters {
+	if !c.hasTopo {
 		return nil
 	}
-	return c.clusters.Assignment()
+	return c.topo.Assignments()
+}
+
+// Clusters returns the communicator's normalized rank→cluster assignment
+// — its topology's coarsest level — or nil when no partition is attached.
+func (c *Comm) Clusters() []int {
+	if !c.hasTopo {
+		return nil
+	}
+	return c.topo.Top().Assignment()
 }
 
 // SubRow returns the communicator of this node's row of a 2-D

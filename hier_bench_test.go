@@ -2,8 +2,7 @@
 // collectives over non-contiguous placements pack into scratch buffers at
 // every hierarchy level, and those buffers are pooled (sync.Pool), so the
 // steady-state allocation count per call stays O(1) instead of growing
-// with depth × vector size. `make bench` records the allocs/op in
-// BENCH_7.json.
+// with depth × vector size; run with -benchmem to see the allocs/op.
 package icc_test
 
 import (

@@ -8,7 +8,6 @@ package chantransport
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,9 +53,6 @@ func (w *World) abort(origin int, reason error) {
 	ae := transport.ToAbortError(origin, reason)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if chanDebug {
-		fmt.Printf("CHAN abort origin %d failed %v (poisoned=%v epoch=%d): %v\n", origin, ae.Failed, w.poison != nil, w.epoch, reason)
-	}
 	if w.poison != nil {
 		w.poison.Failed = transport.MergeFailed(w.poison.Failed, ae.Failed)
 		return
@@ -247,9 +243,6 @@ func (e *Endpoint) Reset(failed []int) {
 		w.poison = nil
 		w.epoch++
 		w.abortCh = make(chan struct{})
-	}
-	if chanDebug {
-		fmt.Printf("CHAN reset rank %d -> epoch %d (failed %v)\n", e.rank, w.epoch, failed)
 	}
 	e.seen.Store(int64(w.epoch))
 	w.mu.Unlock()
@@ -537,5 +530,3 @@ func (e *Endpoint) Close() error {
 	e.closed.Store(true)
 	return nil
 }
-
-var chanDebug = os.Getenv("ICC_REC_DEBUG") != ""

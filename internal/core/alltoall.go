@@ -27,7 +27,7 @@ import (
 
 // AllToAll executes the complete exchange with equal per-pair counts under
 // shape s: ShortFrom 0 (every dimension short) selects the Bruck relay,
-// any other switch point the pairwise schedule, and Hier the two-level
+// any other switch point the pairwise schedule, and Hier the hierarchical
 // composition. send holds p blocks of count elements each; recv receives p
 // blocks. send and recv must not overlap (both may be nil in timing-only
 // mode).

@@ -158,17 +158,17 @@ func TestHierAllToAllPartitions(t *testing.T) {
 			parts[fmt.Sprintf("random-%d", trial)] = of
 		}
 		for name, of := range parts {
-			cl, err := group.NewCluster(of)
+			cl, err := group.NewTopology(of)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, count := range []int{0, 3, 16} {
 				name, cl, count, p := name, cl, count, p
 				t.Run(fmt.Sprintf("p%d/%s/n%d", p, name, count), func(t *testing.T) {
-					tl := model.ClusterLike()
+					tl := model.ClusterLike().Hierarchy()
 					runWorld(t, p, func(c Ctx) error {
-						c.Clusters = &cl
-						c.Hier = &tl
+						c.Topology = &cl
+						c.Hierarchy = &tl
 						send := xSend(c.Me, p, count)
 						recv := make([]byte, p*count)
 						if err := AllToAll(c, model.HierShape(), send, recv, count, 1); err != nil {

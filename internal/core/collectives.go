@@ -19,20 +19,14 @@ type Ctx struct {
 	Me      int
 	Coll    uint32
 	Machine *model.Machine
-	// Clusters, when non-nil, is the two-level partition of the group's
+	// Topology, when non-nil, is the nested partition of the group's
 	// logical indices that hierarchical shapes (model.HierShape) execute
-	// over. Flat shapes ignore it.
-	Clusters *group.Cluster
-	// Hier optionally supplies two-level machine parameters; hierarchical
-	// execution uses them to choose each phase's algorithm (short MST vs
-	// long bucket) per level. When nil, Machine is used for both levels.
-	Hier *model.TwoLevel
-	// Topology, when non-nil, is the N-level nested partition hierarchical
-	// shapes execute over; it takes precedence over Clusters (whose
-	// partition is the depth-1 special case).
+	// over; a cluster partition is its depth-1 case. Flat shapes ignore it.
 	Topology *group.Topology
-	// Hierarchy optionally supplies per-level machine parameters for an
-	// N-level topology; it takes precedence over Hier.
+	// Hierarchy optionally supplies per-level machine parameters, coarsest
+	// first; hierarchical execution uses them to choose each phase's
+	// algorithm (short MST vs long bucket) per level. When nil, Machine is
+	// used for every level.
 	Hierarchy *model.Hierarchy
 	// Unstriped disables the striped leader phase of the hierarchical
 	// all-reduce (comparison sweeps only).

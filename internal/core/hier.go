@@ -16,8 +16,8 @@ import (
 // level at a time, and redistribution descends. Each phase is a complete
 // flat collective over a sub-group, executed by the existing hybrid
 // machinery, so the short/long/hybrid menu of §4–§6 is reused per level
-// rather than reimplemented. The two-level schedule of the paper is
-// exactly the depth-1 case.
+// rather than reimplemented. The two-level (cluster) schedule is exactly
+// the depth-1 case.
 //
 // Data placement: broadcast, reduce and all-reduce move whole vectors, so
 // any placement works in place. The partitioned collectives (collect,
@@ -54,33 +54,20 @@ func (ms machs) at(l int) model.Machine {
 
 // hierN resolves the invocation's topology and per-level machines.
 func (c Ctx) hierN() (group.Topology, machs, error) {
-	var t group.Topology
-	switch {
-	case c.Topology != nil:
-		t = *c.Topology
-	case c.Clusters != nil:
-		t = group.FromCluster(*c.Clusters)
-	default:
+	if c.Topology == nil {
 		return group.Topology{}, nil, fmt.Errorf("core: hierarchical shape without a cluster partition")
 	}
+	t := *c.Topology
 	if err := t.Validate(len(c.Members)); err != nil {
 		return group.Topology{}, nil, err
 	}
-	var ms machs
 	switch {
-	case c.Hierarchy != nil:
-		ms = machs(c.Hierarchy.Machines)
-	case c.Hier != nil:
-		ms = machs{c.Hier.Global, c.Hier.Local}
+	case c.Hierarchy != nil && len(c.Hierarchy.Machines) > 0:
+		return t, machs(c.Hierarchy.Machines), nil
 	case c.Machine != nil:
-		ms = machs{*c.Machine}
-	default:
-		ms = machs{model.ParagonLike()}
+		return t, machs{*c.Machine}, nil
 	}
-	if len(ms) == 0 {
-		ms = machs{model.ParagonLike()}
-	}
-	return t, ms, nil
+	return t, machs{model.ParagonLike()}, nil
 }
 
 // sub returns block k's internal topology, or nil when t is depth-1 (its

@@ -254,7 +254,7 @@ func TestPlanAllToAll(t *testing.T) {
 // replay correctly for all-reduce, collect and all-to-all.
 func TestPlanHier(t *testing.T) {
 	const p = 6
-	cl, err := group.NewCluster([]int{0, 1, 0, 1, 0, 1}) // interleaved: non-contiguous
+	cl, err := group.NewTopology([]int{0, 1, 0, 1, 0, 1}) // interleaved: non-contiguous
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestPlanHier(t *testing.T) {
 	full := make([]byte, total)
 	fill(full, 5)
 	runWorld(t, p, func(c Ctx) error {
-		c.Clusters = &cl
+		c.Topology = &cl
 
 		plA, err := BuildAllReduce(c, hs, 4, datatype.Int32, datatype.Sum)
 		if err != nil {

@@ -51,20 +51,6 @@ func NewCluster(of []int) (Cluster, error) {
 	return c, nil
 }
 
-// ClusterBySize partitions p logical nodes into consecutive blocks of the
-// given size (the last block may be smaller) — the natural partition when
-// ranks are laid out node-major, as launchers conventionally do.
-func ClusterBySize(p, size int) (Cluster, error) {
-	if size < 1 {
-		return Cluster{}, fmt.Errorf("group: cluster size %d", size)
-	}
-	of := make([]int, p)
-	for i := range of {
-		of[i] = i / size
-	}
-	return NewCluster(of)
-}
-
 // ClusterFromLayout infers a partition from a physical layout: each slice
 // along the outermost (largest-stride) dimension becomes one cluster. For
 // a rows×cols mesh this makes every physical row a cluster, matching the

@@ -41,10 +41,11 @@ func TestNewClusterNormalizes(t *testing.T) {
 }
 
 func TestClusterBySizeAndLayout(t *testing.T) {
-	c, err := ClusterBySize(10, 4)
+	tp, err := TopologyBySizes(10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := tp.Top()
 	if got := c.Sizes(); !reflect.DeepEqual(got, []int{4, 4, 2}) {
 		t.Fatalf("sizes %v", got)
 	}
@@ -72,7 +73,7 @@ func TestClusterErrors(t *testing.T) {
 	if _, err := NewCluster(nil); err == nil {
 		t.Fatal("empty assignment accepted")
 	}
-	if _, err := ClusterBySize(4, 0); err == nil {
+	if _, err := TopologyBySizes(4, 0); err == nil {
 		t.Fatal("zero cluster size accepted")
 	}
 }

@@ -11,9 +11,9 @@ const MaxDepth = 6
 // Topology is an ordered list of nested partitions of a group — e.g.
 // rack → node → socket. Level 0 is the coarsest (racks); each deeper
 // level refines the one above it, so every level-l+1 block lies entirely
-// inside one level-l block. A Cluster is exactly the depth-1 special
-// case, and Top() exposes any topology's coarsest level as a Cluster so
-// the two-level machinery keeps working unchanged.
+// inside one level-l block. A Cluster is one level's partition: a
+// two-level (cluster) machine is exactly the depth-1 topology, and Top()
+// exposes any topology's coarsest level as a Cluster.
 //
 // Like Cluster, a Topology is defined over a group's logical indices
 // 0..P-1; the member list provides the logical-to-physical mapping
@@ -142,16 +142,6 @@ func TopologyBySizes(p int, sizes ...int) (Topology, error) {
 		levels[l] = lv
 	}
 	return NewTopology(levels...)
-}
-
-// FromCluster wraps a two-level partition as a depth-1 topology.
-func FromCluster(cl Cluster) Topology {
-	t, err := NewTopology(cl.Assignment())
-	if err != nil {
-		// A constructed Cluster always has a non-empty assignment.
-		panic(err)
-	}
-	return t
 }
 
 // Depth returns the number of levels.

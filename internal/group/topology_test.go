@@ -90,7 +90,10 @@ func TestFromClusterMatchesClusterView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp := FromCluster(cl)
+	tp, err := NewTopology(cl.Assignment())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tp.Depth() != 1 {
 		t.Fatalf("depth %d", tp.Depth())
 	}

@@ -11,11 +11,12 @@ import (
 
 // The complete-exchange harness: the short (Bruck relay) and long
 // (rotation/pairwise) schedules against the automatically selected one,
-// on a p-rank switched machine — a single simulated cluster, where every
-// message pays α + nβ and contends only at the per-rank injection and
-// ejection channels. That is exactly the regime the analytic model
-// describes, so the simulated crossover must land where the model puts it;
-// this is the AllToAll instance of §7.1's "accurate model" claim.
+// on a p-rank switched machine — a simulated tree whose one block holds
+// every rank, where every message pays α + nβ and contends only at the
+// per-rank injection and ejection channels. That is exactly the regime
+// the analytic model describes, so the simulated crossover must land
+// where the model puts it; this is the AllToAll instance of §7.1's
+// "accurate model" claim.
 
 // a2aBytes rounds n up to a whole number of equal per-pair blocks — the
 // smallest exchange the equal-count complete exchange can realize. Sweeps
@@ -35,7 +36,8 @@ func a2aBytes(n, p int) int {
 // of p (see a2aBytes).
 func runSwitchedAllToAll(p, n int, m model.Machine, s model.Shape) (float64, error) {
 	res, err := simnet.Run(simnet.Config{
-		Rows: 1, Cols: p, Machine: m, ClusterSize: p, Inter: m,
+		Rows: 1, Cols: p, Machine: m,
+		Levels: []simnet.Level{{Size: p, Alpha: m.Alpha, Beta: m.Beta}},
 	}, func(ep *simnet.Endpoint) error {
 		c := core.NewCtx(ep, 1)
 		mach := m

@@ -3,11 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/datatype"
 	"repro/internal/group"
 	"repro/internal/model"
-	"repro/internal/simnet"
 )
 
 // HierSweep compares flat and hierarchical collectives on a simulated
@@ -31,75 +28,20 @@ const (
 	RoundRobin Placement = "round-robin"
 )
 
-// assign returns the rank→cluster map of the placement.
-func (pl Placement) assign(nClusters, perCluster int) []int {
-	p := nClusters * perCluster
-	of := make([]int, p)
-	for r := range of {
-		if pl == RoundRobin {
-			of[r] = r % nClusters
-		} else {
-			of[r] = r / perCluster
-		}
+// clusterNet is the nClusters×perCluster two-level machine as a one-level
+// tree: the depth-1 case of the TreeNet every hierarchy sweep runs on.
+func clusterNet(nClusters, perCluster int, tl model.TwoLevel, pl Placement) TreeNet {
+	return TreeNet{
+		P: nClusters * perCluster, Sizes: []int{perCluster},
+		Machines: tl.Hierarchy().Machines, Place: pl,
 	}
-	return of
-}
-
-// runClustered times one collective on the clustered simulated machine
-// under the given shape.
-func runClustered(coll model.Collective, nClusters, perCluster, n int, tl model.TwoLevel, pl Placement, s model.Shape) (float64, error) {
-	p := nClusters * perCluster
-	of := pl.assign(nClusters, perCluster)
-	cl, err := group.NewCluster(of)
-	if err != nil {
-		return 0, err
-	}
-	res, err := simnet.Run(simnet.Config{
-		Rows: nClusters, Cols: perCluster,
-		Machine: tl.Local, ClusterSize: perCluster, Inter: tl.Global,
-		ClusterOf: of,
-	}, func(ep *simnet.Endpoint) error {
-		c := core.NewCtx(ep, 1)
-		mach := tl.Local
-		c.Machine = &mach
-		c.Clusters = &cl
-		c.Hier = &tl
-		counts := core.EqualCounts(n, p)
-		switch coll {
-		case model.Bcast:
-			return core.Bcast(c, s, 0, nil, n, 1)
-		case model.Reduce:
-			return core.Reduce(c, s, 0, nil, nil, n, datatype.Uint8, datatype.Sum)
-		case model.Collect:
-			return core.Collect(c, s, nil, counts, 1)
-		case model.ReduceScatter:
-			return core.ReduceScatter(c, s, nil, nil, counts, datatype.Uint8, datatype.Sum)
-		case model.AllToAll:
-			return core.AllToAll(c, s, nil, nil, n/p, 1)
-		default:
-			return core.AllReduce(c, s, nil, nil, n, datatype.Uint8, datatype.Sum)
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.Time, nil
 }
 
 // HierPoint times one collective at one length on the clustered machine,
 // returning the flat auto hybrid's and the hierarchy's simulated seconds —
 // the benchmark-friendly core of HierSweep.
 func HierPoint(coll model.Collective, nClusters, perCluster, n int, tl model.TwoLevel, place Placement) (flatAuto, hier float64, err error) {
-	if coll == model.AllToAll {
-		n = a2aBytes(n, nClusters*perCluster)
-	}
-	pl := model.NewPlanner(tl.Global)
-	s, _ := pl.Best(coll, group.Linear(nClusters*perCluster), n)
-	flatAuto, err = runClustered(coll, nClusters, perCluster, n, tl, place, s)
-	if err != nil {
-		return 0, 0, err
-	}
-	hier, err = runClustered(coll, nClusters, perCluster, n, tl, place, model.HierShape())
+	flatAuto, hier, _, err = TreePoint(clusterNet(nClusters, perCluster, tl, place), coll, n)
 	return flatAuto, hier, err
 }
 
@@ -109,8 +51,8 @@ func HierPoint(coll model.Collective, nClusters, perCluster, n int, tl model.Two
 // the library does not know, which is exactly a cluster whose rank→node
 // map has not been declared — while the hierarchy exploits the map.
 func HierSweep(coll model.Collective, nClusters, perCluster int, tl model.TwoLevel, place Placement, lengths []int) (Table, error) {
-	layout := group.Linear(nClusters * perCluster)
-	pl := model.NewPlanner(tl.Global)
+	tn := clusterNet(nClusters, perCluster, tl, place)
+	layout := group.Linear(tn.P)
 	t := Table{
 		Title: fmt.Sprintf("hierarchy: %v on %d clusters × %d ranks (%s placement), inter/intra β ratio %.0f, time (s)",
 			coll, nClusters, perCluster, place, tl.Global.Beta/tl.Local.Beta),
@@ -124,24 +66,19 @@ func HierSweep(coll model.Collective, nClusters, perCluster int, tl model.TwoLev
 	}
 	for _, n := range lengths {
 		if coll == model.AllToAll {
-			n = a2aBytes(n, nClusters*perCluster)
+			n = a2aBytes(n, tn.P)
 		}
-		short, err := runClustered(coll, nClusters, perCluster, n, tl, place, model.MSTShape(layout))
+		short, err := runTree(tn, coll, 0, n, model.MSTShape(layout), false)
 		if err != nil {
 			return t, fmt.Errorf("%v flat short n=%d: %w", coll, n, err)
 		}
-		long, err := runClustered(coll, nClusters, perCluster, n, tl, place, model.BucketShape(layout))
+		long, err := runTree(tn, coll, 0, n, model.BucketShape(layout), false)
 		if err != nil {
 			return t, fmt.Errorf("%v flat long n=%d: %w", coll, n, err)
 		}
-		s, _ := pl.Best(coll, layout, n)
-		auto, err := runClustered(coll, nClusters, perCluster, n, tl, place, s)
+		auto, hier, _, err := TreePoint(tn, coll, n)
 		if err != nil {
-			return t, fmt.Errorf("%v flat auto n=%d: %w", coll, n, err)
-		}
-		hier, err := runClustered(coll, nClusters, perCluster, n, tl, place, model.HierShape())
-		if err != nil {
-			return t, fmt.Errorf("%v hier n=%d: %w", coll, n, err)
+			return t, fmt.Errorf("%v flat auto / hier n=%d: %w", coll, n, err)
 		}
 		best := short
 		if long < best {

@@ -126,7 +126,9 @@ func TreePoint(tn TreeNet, coll model.Collective, n int) (flatAuto, hier2, hierN
 	if hier2, err = runTree(tn, coll, 1, n, model.HierShape(), false); err != nil {
 		return
 	}
-	hierN, err = runTree(tn, coll, len(tn.Sizes), n, model.HierShape(), false)
+	if hierN = hier2; len(tn.Sizes) > 1 {
+		hierN, err = runTree(tn, coll, len(tn.Sizes), n, model.HierShape(), false)
+	}
 	return
 }
 

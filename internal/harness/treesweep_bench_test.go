@@ -12,8 +12,7 @@ import (
 // all-reduce on the simulated rack/node/socket machine at 64 and 256
 // ranks, attacked flat (structure-blind auto hybrid), with the two-level
 // composition over the coarsest partition, and with the full 3-level
-// recursion — the headline comparison `make bench` captures in
-// BENCH_7.json. The interesting metric is sim-s/op (simulated seconds),
+// recursion. The interesting metric is sim-s/op (simulated seconds),
 // not ns/op (host time to run the simulation).
 func BenchmarkTreeCollective(b *testing.B) {
 	const n = 1 << 20

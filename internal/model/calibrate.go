@@ -385,15 +385,6 @@ func (p *Profile) Hierarchy() Hierarchy {
 	return Hierarchy{Machines: ms}
 }
 
-// TwoLevel views the profile as a two-level machine: the coarsest probed
-// level as Global, the deepest as Local.
-func (p *Profile) TwoLevel() TwoLevel {
-	if len(p.Levels) == 0 {
-		return Uniform(p.Machine)
-	}
-	return TwoLevel{Global: p.Levels[0].Machine, Local: p.Levels[len(p.Levels)-1].Machine}
-}
-
 // Save writes the profile as indented JSON.
 func (p *Profile) Save(path string) error {
 	if err := p.Validate(); err != nil {

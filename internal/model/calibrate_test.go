@@ -177,9 +177,8 @@ func TestProfileRoundTripJSON(t *testing.T) {
 	if len(h.Machines) != 2 || h.Machines[0] != p.Levels[0].Machine {
 		t.Fatalf("hierarchy view: %+v", h)
 	}
-	tl := q.TwoLevel()
-	if tl.Global != p.Levels[0].Machine || tl.Local != p.Levels[1].Machine {
-		t.Fatalf("two-level view: %+v", tl)
+	if h.At(0) != p.Levels[0].Machine || h.At(1) != p.Levels[1].Machine {
+		t.Fatalf("two-level view: %+v", h)
 	}
 	if got := q.Provenance(); got != "calibrated (tcp), fitted 2026-08-08" {
 		t.Fatalf("provenance %q", got)

@@ -5,11 +5,8 @@ import "math"
 // Two-level machines. Modern clusters expose two very different networks:
 // ranks sharing a node talk through memory (low α, high bandwidth), ranks
 // on different nodes through a NIC (higher α, lower bandwidth). A TwoLevel
-// machine holds both parameter sets; its cost functions price the
-// hierarchical composition of the paper's building blocks — intra-cluster
-// phases on the Local machine, a leader-level phase on the Global machine —
-// so the planner can decide per call whether the hierarchy beats the best
-// flat hybrid.
+// value names the two parameter sets; it is priced and executed as the
+// two-entry Hierarchy [Global, Local] (see Hierarchy.Cost).
 
 // TwoLevel holds machine parameters for a two-level hierarchy.
 type TwoLevel struct {
@@ -20,20 +17,12 @@ type TwoLevel struct {
 	Global Machine
 }
 
-// Validate checks both parameter sets.
-func (t TwoLevel) Validate() error {
-	if err := t.Local.Validate(); err != nil {
-		return err
-	}
-	return t.Global.Validate()
+// Hierarchy views the two-level machine as a depth-agnostic hierarchy:
+// the global parameters between top-level blocks, the local parameters
+// everywhere below.
+func (t TwoLevel) Hierarchy() Hierarchy {
+	return Hierarchy{Machines: []Machine{t.Global, t.Local}}
 }
-
-// Uniform returns the degenerate two-level machine whose local and global
-// levels are the same machine m. Its hierarchical costs strictly exceed
-// the flat costs (extra phases, no cheaper level), so auto-selection never
-// picks the hierarchy on it — the safe default when no cluster-aware
-// parameters are known.
-func Uniform(m Machine) TwoLevel { return TwoLevel{Local: m, Global: m} }
 
 // ClusterLike returns a representative modern two-level machine: a fast
 // intra-node fabric (memory/NVLink class) and an inter-node network ten
@@ -53,8 +42,8 @@ func ClusterLike() TwoLevel {
 	return TwoLevel{Local: local, Global: global}
 }
 
-// HierShape returns the shape selecting the two-level hierarchical
-// strategy. The cluster partition travels with the invocation context.
+// HierShape returns the shape selecting the hierarchical strategy. The
+// topology travels with the invocation context.
 func HierShape() Shape { return Shape{Hier: true} }
 
 // Best-of-fixed-endpoint helpers: the hierarchical executor chooses per
@@ -85,23 +74,4 @@ func (m Machine) bestReduceScatter(p int, n float64) float64 {
 
 func (m Machine) bestAllToAll(p int, n float64) float64 {
 	return math.Min(m.ShortAllToAll(p, n, 1), m.LongAllToAll(p, n, 1))
-}
-
-// HierCost prices collective c with an n-byte vector under the two-level
-// composition, for a partition with the given cluster sizes. It is the
-// depth-1 view of the recursive Hierarchy cost: intra-cluster phases on
-// the Local machine (the largest cluster finishes last), the leader-level
-// phase on the Global machine over one representative per cluster. The
-// contiguous flag is retained for compatibility; the executor's
-// canonicalizing pack detour made non-contiguous placements cost the same
-// communication as contiguous ones, so it no longer changes the price.
-// Collectives the executor does not run hierarchically (scatter, gather)
-// cost +Inf so selection never picks them.
-func (t TwoLevel) HierCost(c Collective, sizes []int, contiguous bool, n float64) float64 {
-	_ = contiguous
-	topo, ok := topologyOfSizes(sizes)
-	if !ok {
-		return math.Inf(1)
-	}
-	return t.Hierarchy().Cost(c, topo, n)
 }

@@ -7,22 +7,32 @@ import (
 	"repro/internal/group"
 )
 
-// TestHierCostSelection: on a machine whose global level is 10× worse in α
+// TestHierarchyCostSelection: on a machine whose global level is 10× worse in α
 // and β, the two-level composition must undercut the best flat hybrid
 // (planned with the global parameters, structure-blind) for large
 // all-reduces — the condition under which the planner switches to
 // HierShape — while on a uniform machine the hierarchy must never win.
-func TestHierCostSelection(t *testing.T) {
+func TestHierarchyCostSelection(t *testing.T) {
 	tl := ClusterLike()
-	sizes := make([]int, 8)
-	for i := range sizes {
-		sizes[i] = 8 // 8 clusters × 8 ranks
+	h2 := tl.Hierarchy()
+	// 8 clusters × 8 ranks, node-major and dealt round-robin.
+	blocks, err := group.TopologyBySizes(64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := make([]int, 64)
+	for i := range rr {
+		rr[i] = i % 8
+	}
+	scattered, err := group.NewTopology(rr)
+	if err != nil {
+		t.Fatal(err)
 	}
 	pl := NewPlanner(tl.Global)
 	layout := group.Linear(64)
 	for _, n := range []int{65536, 1 << 20} {
 		_, flat := pl.Best(AllReduce, layout, n)
-		h := tl.HierCost(AllReduce, sizes, true, float64(n))
+		h := h2.Cost(AllReduce, blocks, float64(n))
 		if h >= flat {
 			t.Errorf("n=%d: hier cost %g not below flat %g", n, h, flat)
 		}
@@ -30,7 +40,7 @@ func TestHierCostSelection(t *testing.T) {
 		// and reduce-scatter; the cost must not be cheaper than the
 		// contiguous MST form.
 		for _, c := range []Collective{Collect, ReduceScatter} {
-			if nc, co := tl.HierCost(c, sizes, false, float64(n)), tl.HierCost(c, sizes, true, float64(n)); nc < co {
+			if nc, co := h2.Cost(c, scattered, float64(n)), h2.Cost(c, blocks, float64(n)); nc < co {
 				t.Errorf("%v n=%d: non-contiguous cost %g below contiguous %g", c, n, nc, co)
 			}
 		}
@@ -44,12 +54,12 @@ func TestHierCostSelection(t *testing.T) {
 	// collectives on a linear array, so the hierarchy is a genuinely new
 	// decomposition there and may legitimately win even on uniform
 	// machines.)
-	uni := Uniform(ParagonLike())
-	plu := NewPlanner(uni.Global)
+	uni := UniformHierarchy(ParagonLike())
+	plu := NewPlanner(ParagonLike())
 	for _, c := range []Collective{Bcast, Reduce, AllReduce} {
 		for _, n := range []int{8, 65536, 1 << 20} {
 			_, flat := plu.Best(c, layout, n)
-			h := uni.HierCost(c, sizes, true, float64(n))
+			h := uni.Cost(c, blocks, float64(n))
 			if h < flat*(1-1e-9) {
 				t.Errorf("%v n=%d: uniform machine prefers hierarchy (%g < %g)", c, n, h, flat)
 			}
@@ -57,12 +67,15 @@ func TestHierCostSelection(t *testing.T) {
 	}
 }
 
-// TestHierCostUnsupported: collectives the executor does not run
+// TestHierarchyCostUnsupported: collectives the executor does not run
 // hierarchically must cost +Inf so selection never picks them.
-func TestHierCostUnsupported(t *testing.T) {
-	tl := ClusterLike()
+func TestHierarchyCostUnsupported(t *testing.T) {
+	topo, err := group.TopologyBySizes(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []Collective{Scatter, Gather} {
-		if h := tl.HierCost(c, []int{4, 4}, true, 1024); !math.IsInf(h, 1) {
+		if h := ClusterLike().Hierarchy().Cost(c, topo, 1024); !math.IsInf(h, 1) {
 			t.Errorf("%v: hier cost %g, want +Inf", c, h)
 		}
 	}

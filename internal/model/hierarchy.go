@@ -46,16 +46,10 @@ func (h Hierarchy) At(l int) Machine {
 	return h.Machines[l]
 }
 
-// Hierarchy views the two-level machine as a depth-agnostic hierarchy:
-// the global parameters between top-level blocks, the local parameters
-// everywhere below.
-func (t TwoLevel) Hierarchy() Hierarchy {
-	return Hierarchy{Machines: []Machine{t.Global, t.Local}}
-}
-
 // UniformHierarchy is the degenerate hierarchy whose every level is the
-// same machine m; like Uniform, its recursive costs never undercut the
-// flat menu, so auto-selection stays flat on it.
+// same machine m: its recursive costs never undercut the flat menu (extra
+// phases, no cheaper level), so auto-selection stays flat on it — the safe
+// default when no per-level parameters are known.
 func UniformHierarchy(m Machine) Hierarchy {
 	return Hierarchy{Machines: []Machine{m}}
 }
@@ -305,30 +299,4 @@ func (h Hierarchy) allToAllTree(t *group.Topology, l int, n float64) float64 {
 		global = h.At(l).bestAllToAll(k, qn)
 	}
 	return 2*edge + global
-}
-
-// topologyOfSizes builds the contiguous depth-1 topology with the given
-// block sizes — the shape TwoLevel.HierCost prices.
-func topologyOfSizes(sizes []int) (group.Topology, bool) {
-	p := 0
-	for _, s := range sizes {
-		if s <= 0 {
-			return group.Topology{}, false
-		}
-		p += s
-	}
-	if p == 0 {
-		return group.Topology{}, false
-	}
-	of := make([]int, 0, p)
-	for k, s := range sizes {
-		for i := 0; i < s; i++ {
-			of = append(of, k)
-		}
-	}
-	t, err := group.NewTopology(of)
-	if err != nil {
-		return group.Topology{}, false
-	}
-	return t, true
 }

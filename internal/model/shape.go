@@ -79,12 +79,12 @@ type Dim struct {
 type Shape struct {
 	Dims      []Dim
 	ShortFrom int
-	// Hier selects the two-level hierarchical strategy instead of a flat
-	// hybrid: collectives are composed of intra-cluster phases and a
-	// leader-level phase over one representative per cluster. The cluster
-	// partition itself travels with the invocation context, not the shape;
-	// Dims and ShortFrom are unused when Hier is set. See TwoLevel for the
-	// cost model that decides when the hierarchy wins.
+	// Hier selects the hierarchical strategy instead of a flat hybrid:
+	// collectives are composed of intra-block phases and one leader-level
+	// phase per topology level over one representative per block. The
+	// topology itself travels with the invocation context, not the shape;
+	// Dims and ShortFrom are unused when Hier is set. See Hierarchy.Cost for
+	// the cost model that decides when the hierarchy wins.
 	Hier bool
 }
 

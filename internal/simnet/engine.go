@@ -117,9 +117,6 @@ func newEngine(cfg Config) *engine {
 	if cfg.Hypercube {
 		topo = newCubeTopology(cfg.Rows * cfg.Cols)
 	}
-	if cfg.ClusterSize > 0 {
-		topo = newClusteredTopology(topo, cfg.clusterAssign())
-	}
 	if len(cfg.Levels) > 0 {
 		topo = newTreeTopology(cfg.Rows*cfg.Cols, cfg.levelAssigns())
 	}
@@ -247,9 +244,6 @@ func (e *engine) postOps(p *proc, ops ...*op) {
 // makeFlow matches a send with a receive.
 func (e *engine) makeFlow(key pairKey, s, r *op) {
 	alpha, beta := e.cfg.Machine.Alpha, e.cfg.Machine.Beta
-	if ct, ok := e.topo.(clusteredTopology); ok && ct.of[key.src] != ct.of[key.dst] {
-		alpha, beta = e.cfg.Inter.Alpha, e.cfg.Inter.Beta
-	}
 	if tt, ok := e.topo.(treeTopology); ok {
 		// Price the flow at the coarsest network level it crosses.
 		if l := tt.divergeLevel(key.src, key.dst); l >= 0 {

@@ -51,40 +51,21 @@ type Config struct {
 	// sequence.
 	NoiseAmp  float64
 	NoiseSeed int64
-	// ClusterSize, when > 0, replaces the wormhole mesh with a modern
-	// cluster: consecutive runs of ClusterSize ranks form clusters
-	// (nodes; ClusterSize 1 makes every rank its own node, charging
-	// every message the inter-cluster parameters). A message whose
-	// endpoints lie in different clusters pays Inter.Alpha startup and
-	// Inter.Beta per byte instead of Machine's, and occupies the source
-	// cluster's single uplink and the destination cluster's single
-	// downlink — the NIC behind which all of a node's ranks sit — so
-	// concurrent inter-node flows of one node share its capacity.
-	// Intra-cluster messages contend only at the per-rank injection and
-	// ejection channels; mesh links are not used (rank ids carry no
-	// positional meaning on a switched cluster, and the switch core is
-	// modelled as non-blocking).
-	ClusterSize int
-	// Inter supplies the inter-cluster α and β (its other fields are
-	// ignored). Required when ClusterSize > 0.
-	Inter model.Machine
-	// ClusterOf optionally overrides the consecutive-blocks assignment
-	// with an explicit rank→cluster map (len Rows*Cols, ids 0..K-1),
-	// modelling deployments whose rank placement does not follow the
-	// node-major convention. Requires ClusterSize > 0 to enable the
-	// two-level overlay.
-	ClusterOf []int
-	// Levels, when non-empty, replaces the interconnect with an N-level
-	// switched tree — the clustered mode generalized to nested blocks
-	// (racks containing nodes containing sockets), coarsest level first.
-	// A message whose endpoints first diverge at level l pays Levels[l]'s
-	// α and β and occupies the source-side uplink and destination-side
-	// downlink of every block boundary it crosses (each block at each
-	// level owns one shared uplink and one downlink, so deep traffic
-	// contends on every level it traverses); messages within one deepest
-	// block pay Machine's parameters and contend only at the per-rank
-	// injection/ejection channels. Mutually exclusive with ClusterSize
-	// and Hypercube.
+	// Levels, when non-empty, replaces the wormhole mesh with a switched
+	// tree of nested blocks (racks containing nodes containing sockets),
+	// coarsest level first; a single level is a modern cluster of
+	// multi-rank nodes. A message whose endpoints first diverge at level l
+	// pays Levels[l]'s α and β and occupies the source-side uplink and
+	// destination-side downlink of every block boundary it crosses (each
+	// block at each level owns one shared uplink and one downlink — the
+	// NIC behind which all of a node's ranks sit — so concurrent flows
+	// leaving a block share its capacity and deep traffic contends on
+	// every level it traverses); messages within one deepest block pay
+	// Machine's parameters and contend only at the per-rank
+	// injection/ejection channels. Mesh links are not used: rank ids
+	// carry no positional meaning on a switched fabric, and the switch
+	// cores are modelled as non-blocking. Mutually exclusive with
+	// Hypercube.
 	Levels []Level
 }
 
@@ -101,19 +82,6 @@ type Level struct {
 	// Alpha and Beta price messages whose endpoints first diverge at this
 	// level.
 	Alpha, Beta float64
-}
-
-// clusterAssign returns the rank→cluster map of a clustered config.
-func (c Config) clusterAssign() []int {
-	if c.ClusterOf != nil {
-		return c.ClusterOf
-	}
-	n := c.Rows * c.Cols
-	of := make([]int, n)
-	for i := range of {
-		of[i] = i / c.ClusterSize
-	}
-	return of
 }
 
 // levelAssigns returns the per-level rank→block assignments of a tree
@@ -146,26 +114,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("simnet: hypercube needs a power-of-two node count, got %d", n)
 		}
 	}
-	if c.ClusterSize > 0 {
-		if c.Inter.Alpha < 0 || c.Inter.Beta <= 0 {
-			return fmt.Errorf("simnet: clustered config needs inter-cluster α ≥ 0 and β > 0, got %+v", c.Inter)
-		}
-		if c.ClusterOf != nil {
-			if len(c.ClusterOf) != c.Rows*c.Cols {
-				return fmt.Errorf("simnet: ClusterOf covers %d ranks, mesh has %d", len(c.ClusterOf), c.Rows*c.Cols)
-			}
-			for r, k := range c.ClusterOf {
-				if k < 0 || k >= c.Rows*c.Cols {
-					return fmt.Errorf("simnet: rank %d assigned to cluster %d", r, k)
-				}
-			}
-		}
-	} else if c.ClusterOf != nil {
-		return fmt.Errorf("simnet: ClusterOf requires ClusterSize > 0")
-	}
 	if len(c.Levels) > 0 {
-		if c.ClusterSize > 0 || c.Hypercube {
-			return fmt.Errorf("simnet: Levels is mutually exclusive with ClusterSize and Hypercube")
+		if c.Hypercube {
+			return fmt.Errorf("simnet: Levels is mutually exclusive with Hypercube")
 		}
 		n := c.Rows * c.Cols
 		for l, lv := range c.Levels {
@@ -188,30 +139,12 @@ func (c Config) Validate() error {
 	return c.Machine.Validate()
 }
 
-// TwoLevel returns the machine parameters of a clustered configuration as
-// a two-level model: Local is Machine, Global is Machine with the
-// inter-cluster α and β substituted. A tree configuration's Global level
-// is its coarsest; for unclustered configurations both levels are
-// Machine.
-func (c Config) TwoLevel() model.TwoLevel {
-	tl := model.TwoLevel{Local: c.Machine, Global: c.Machine}
-	if c.ClusterSize > 0 {
-		tl.Global.Alpha = c.Inter.Alpha
-		tl.Global.Beta = c.Inter.Beta
-	}
-	if len(c.Levels) > 0 {
-		tl.Global.Alpha = c.Levels[0].Alpha
-		tl.Global.Beta = c.Levels[0].Beta
-	}
-	return tl
-}
-
 // Hierarchy returns the per-level machine parameters of the configured
 // interconnect, coarsest first: each tree level's α and β substituted
 // into the base machine, with the base machine itself pricing the
-// deepest blocks. Clustered configurations yield their two-level pair and
-// flat ones a single level, so the collective layer can always plan with
-// the same parameters the network charges.
+// deepest blocks. Flat configurations yield a single level, so the
+// collective layer can always plan with the same parameters the network
+// charges.
 func (c Config) Hierarchy() model.Hierarchy {
 	if len(c.Levels) > 0 {
 		machines := make([]model.Machine, len(c.Levels)+1)
@@ -222,9 +155,6 @@ func (c Config) Hierarchy() model.Hierarchy {
 		}
 		machines[len(c.Levels)] = c.Machine
 		return model.Hierarchy{Machines: machines}
-	}
-	if c.ClusterSize > 0 {
-		return c.TwoLevel().Hierarchy()
 	}
 	return model.UniformHierarchy(c.Machine)
 }
@@ -390,10 +320,12 @@ func (ep *Endpoint) Size() int { return ep.e.topo.nodes() }
 // collective layer plan with the same model the network obeys.
 func (ep *Endpoint) Machine() model.Machine { return ep.e.cfg.Machine }
 
-// TwoLevel returns the configured two-level machine (Config.TwoLevel),
-// letting the collective layer plan hierarchies with the same parameters
-// the network charges.
-func (ep *Endpoint) TwoLevel() model.TwoLevel { return ep.e.cfg.TwoLevel() }
+// TwoLevel returns the coarsest level's and the base machine's parameters
+// as a two-level pair, for callers outside the library that still name
+// the two levels; the library itself plans with Hierarchy.
+func (ep *Endpoint) TwoLevel() model.TwoLevel {
+	return model.TwoLevel{Global: ep.Hierarchy().At(0), Local: ep.e.cfg.Machine}
+}
 
 // Hierarchy returns the configured per-level machine parameters
 // (Config.Hierarchy), coarsest first.

@@ -96,62 +96,13 @@ func abs(x int) int {
 	return x
 }
 
-// clusteredTopology replaces the wormhole mesh with a modern cluster's
-// contention structure: every rank has its own injection and ejection
-// channel (the per-core memory interface), and every cluster additionally
-// owns one uplink and one downlink that all of its inter-cluster flows
-// occupy — the single NIC through which a node's ranks reach the
-// inter-node network. Concurrent inter-cluster flows from one cluster
-// share its uplink capacity max-min fairly, the contention that makes
-// hierarchical (leader-based) collectives win. The base topology's mesh
-// links are deliberately not used: rank ids carry no positional meaning
-// on a switched cluster (placement may be arbitrary, see Config.ClusterOf),
-// and the switch fabric core is modelled as non-blocking.
-type clusteredTopology struct {
-	base netTopology
-	of   []int // rank → cluster id
-	k    int   // number of clusters
-}
-
-func newClusteredTopology(base netTopology, of []int) clusteredTopology {
-	k := 0
-	for _, c := range of {
-		if c+1 > k {
-			k = c + 1
-		}
-	}
-	return clusteredTopology{base: base, of: of, k: k}
-}
-
-func (c clusteredTopology) nodes() int    { return c.base.nodes() }
-func (c clusteredTopology) numLinks() int { return c.base.numLinks() + 2*c.k }
-
-func (c clusteredTopology) isMeshLink(id int) bool {
-	if id < c.base.numLinks() {
-		return c.base.isMeshLink(id)
-	}
-	return false // uplinks and downlinks carry one node's worth of bandwidth
-}
-
-func (c clusteredTopology) uplink(cluster int) int   { return c.base.numLinks() + cluster }
-func (c clusteredTopology) downlink(cluster int) int { return c.base.numLinks() + c.k + cluster }
-
-func (c clusteredTopology) path(src, dst int) []int {
-	// Injection and ejection channel ids of the base topologies are the
-	// first 2n links (inject(i) = i, eject(i) = n + i) for both the mesh
-	// and the hypercube.
-	sc, dc := c.of[src], c.of[dst]
-	if sc != dc {
-		return []int{src, c.base.nodes() + dst, c.uplink(sc), c.downlink(dc)}
-	}
-	return []int{src, c.base.nodes() + dst}
-}
-
-// treeTopology generalizes clusteredTopology to an N-level switched tree:
-// nested blocks (racks containing nodes containing sockets), coarsest
-// level first, each block at each level owning one shared uplink and one
-// shared downlink. A message between ranks whose paths first diverge at
-// level l climbs out through the source's uplink at every level deeper
+// treeTopology replaces the wormhole mesh with an N-level switched tree:
+// every rank has its own injection and ejection channel (the per-core
+// memory interface), and nested blocks (racks containing nodes containing
+// sockets), coarsest level first, each own one shared uplink and one
+// shared downlink — the single NIC through which a block's ranks reach
+// the network above it. A message between ranks whose paths first diverge
+// at level l climbs out through the source's uplink at every level deeper
 // than or equal to l and descends through the destination's downlinks —
 // so inter-rack traffic contends for the rack NIC and for the node NIC,
 // while sibling-node traffic contends only for the node NICs, the

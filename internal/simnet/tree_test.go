@@ -81,10 +81,6 @@ func TestTreeUplinkSharing(t *testing.T) {
 func TestTreeValidate(t *testing.T) {
 	base := treeCfg(8)
 	for name, mut := range map[string]func(*Config){
-		"levels+cluster": func(c *Config) {
-			c.ClusterSize = 2
-			c.Inter = testMachine()
-		},
 		"levels+hypercube": func(c *Config) { c.Hypercube = true },
 		"zero beta":        func(c *Config) { c.Levels[1].Beta = 0 },
 		"bad size":         func(c *Config) { c.Levels[0].Size = 0 },

@@ -305,7 +305,11 @@ func (e *Endpoint) curEpoch() uint32 {
 func (e *Endpoint) poison(ae *transport.AbortError) bool {
 	e.recMu.Lock()
 	if e.poisonErr != nil {
-		e.poisonErr.Failed = transport.MergeFailed(e.poisonErr.Failed, ae.Failed)
+		// Callers already hold the current poison as their error value and
+		// read it without this lock, so absorb into a copy.
+		merged := *e.poisonErr
+		merged.Failed = transport.MergeFailed(merged.Failed, ae.Failed)
+		e.poisonErr, e.lastPoison = &merged, &merged
 		e.recMu.Unlock()
 		return false
 	}

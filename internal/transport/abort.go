@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 )
 
@@ -122,13 +121,8 @@ func ToAbortError(origin int, reason error) *AbortError {
 		// survivor agreement finds any silent death by timeout.
 		return &AbortError{Origin: origin, Failed: nil, Reason: reason.Error()}
 	}
-	if abortDebug {
-		fmt.Printf("ABORT rank %d gasps: %v\n", origin, reason)
-	}
 	return NewAbortError(origin, []int{origin}, reason.Error())
 }
-
-var abortDebug = os.Getenv("ICC_REC_DEBUG") != ""
 
 // MergeFailed returns the sorted union of two failed-rank sets.
 func MergeFailed(a, b []int) []int {

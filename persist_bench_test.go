@@ -1,7 +1,7 @@
 // Benchmarks for the persistent and non-blocking API: the persistent
 // Start/Wait hot path against the one-shot blocking call, and the plan
-// cache itself. `make bench` runs these with -benchmem and converts the
-// output into BENCH_6.json.
+// cache itself. Run with -benchmem; `make benchall` smoke-runs them, and
+// the repo's measured numbers are bench/'s persist_replay workload.
 package icc_test
 
 import (

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync/atomic"
 
 	"repro/internal/group"
@@ -166,9 +165,6 @@ func (c *Comm) Agree() ([]int, error) {
 		return nil, fmt.Errorf("icc: endpoint %T does not support recovery", c.ep)
 	}
 	suspects := c.knownFailed()
-	if recDebug {
-		fmt.Printf("REC rank %d agree entry: suspects %v poison %v\n", c.ep.Rank(), suspects, transport.AbortErr(c.ep))
-	}
 	attempts := len(c.members) + 2
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -207,9 +203,6 @@ func (c *Comm) absorb(suspects []int, err error) ([]int, bool) {
 	var rf *recFail
 	if errors.As(err, &rf) && (errors.Is(err, ErrPeerFailed) || errors.Is(err, ErrTimeout)) {
 		s := transport.MergeFailed(suspects, []int{rf.peer})
-		if recDebug {
-			fmt.Printf("REC rank %d blames %d (suspects %v): %v\n", c.ep.Rank(), rf.peer, s, rf.err)
-		}
 		// The restart abort blames the suspects only — NewAbortError would
 		// add this (live) rank to the failed set and get it expelled by
 		// every survivor that reads the poison.
@@ -217,16 +210,11 @@ func (c *Comm) absorb(suspects []int, err error) ([]int, bool) {
 			Reason: fmt.Sprintf("agreement restart: %v", rf.err)})
 		return s, false
 	}
-	if recDebug {
-		fmt.Printf("REC rank %d gasps (suspects %v): %v\n", c.ep.Rank(), suspects, err)
-	}
 	transport.Abort(c.ep, transport.NewAbortError(c.ep.Rank(),
 		transport.MergeFailed(suspects, []int{c.ep.Rank()}),
 		fmt.Sprintf("rank failed during agreement: %v", err)))
 	return suspects, true
 }
-
-var recDebug = os.Getenv("ICC_REC_DEBUG") != ""
 
 // agreeOnce runs one attempt of the agreement over the roster implied by
 // the given suspect set.
@@ -242,9 +230,6 @@ func (c *Comm) agreeOnce(suspects []int) ([]int, error) {
 		if !containsRank(suspects, r) {
 			alive = append(alive, r)
 		}
-	}
-	if recDebug {
-		fmt.Printf("REC rank %d attempt: suspects %v alive %v\n", me, suspects, alive)
 	}
 	if me == alive[0] {
 		return c.coordinate(alive, suspects)
@@ -425,48 +410,22 @@ func (c *Comm) shrunk(failed []int) (*Comm, error) {
 		phys = group.Linear(c.ep.Size())
 	}
 	sub, _ := group.DetectStructure(members, phys)
-	s := &Comm{
-		ep:        c.ep,
-		members:   members,
-		me:        me,
-		layout:    sub,
-		mach:      c.mach,
-		hasMach:   c.hasMach,
-		machProv:  c.machProv,
-		planner:   c.planner,
-		alg:       c.alg,
-		seq:       c.seq,
-		tl:        c.tl,
-		hasTL:     c.hasTL,
-		hier:      c.hier,
-		hasHier:   c.hasHier,
-		unstriped: c.unstriped,
-		epoch:     transport.EpochOf(c.ep),
-	}
-	s.ctxID = c.seq.Add(1) & 0x7f
+	s := c.derive(members, me, sub)
+	s.epoch = transport.EpochOf(c.ep)
 	if c.hasTopo {
 		levels := c.topo.Assignments()
-		filtered := make([][]int, len(levels))
 		for l, asg := range levels {
 			row := make([]int, 0, len(keep))
 			for _, i := range keep {
 				row = append(row, asg[i])
 			}
-			filtered[l] = row
+			levels[l] = row
 		}
-		t, err := group.NewTopology(filtered...)
+		t, err := group.NewTopology(levels...)
 		if err != nil {
 			return nil, err
 		}
-		return s.withTopology(t)
-	}
-	if c.hasClusters {
-		asg := c.clusters.Assignment()
-		row := make([]int, 0, len(keep))
-		for _, i := range keep {
-			row = append(row, asg[i])
-		}
-		return s.withClusterAssignment(row)
+		s.attach(t)
 	}
 	return s, nil
 }

@@ -1,7 +1,8 @@
 // Benchmarks for the recovery path: the full fail-stop → abort → Agree →
 // Shrink cycle, and the steady-state collective cost on the shrunken
 // communicator (which should match a fresh world of the same size).
-// `make bench` records both in BENCH_10.json.
+// `make benchall` smoke-runs them; the repo's measured recovery numbers
+// are bench/'s survivor_power workload and recover.* ledger rows.
 package icc_test
 
 import (

@@ -7,7 +7,7 @@ import (
 
 // Specialized broadcasts beyond the hybrid family (§8, §11). These are not
 // selected automatically: the paper's judgment — reproduced by the
-// cmd/ablate and cmd/edst experiments — is that their theoretical edge is
+// cmd/paper ablate and edst experiments — is that their theoretical edge is
 // fragile on real systems, so the library offers them explicitly for
 // applications that know their environment.
 

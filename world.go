@@ -152,34 +152,19 @@ func SimulateMesh(rows, cols int, m Machine, carryData bool, fn func(c *Comm) er
 	return SimResult{Seconds: res.Time, Messages: res.Messages}, nil
 }
 
-// SimulateClusters runs fn once per node of a simulated two-level machine:
-// nClusters clusters of perCluster ranks each. Messages between ranks of
-// the same cluster pay local's α/β; messages crossing clusters pay
-// global's α/β and share the cluster's single uplink/downlink — a modern
-// node/NIC hierarchy. The communicator passed to fn sees the group as a
-// linear array (the cluster structure is not a physical mesh the planner
-// may exploit) and carries the two-level machine parameters, but no
-// cluster partition: call c.WithClustersBySize(perCluster) (or
-// WithClusters) inside fn to let the automatic policy choose the
-// hierarchy, or force it with WithAlg(AlgHier).
+// SimulateClusters runs fn once per node of a simulated two-level machine
+// — SimulateHierarchy with a single level: nClusters clusters of
+// perCluster ranks each. Messages between ranks of the same cluster pay
+// local's α/β; messages crossing clusters pay global's α/β and share the
+// cluster's single uplink/downlink — a modern node/NIC hierarchy. The
+// communicator passed to fn sees the group as a linear array (the cluster
+// structure is not a physical mesh the planner may exploit) and carries
+// the two-level machine parameters, but no cluster partition: call
+// c.WithClustersBySize(perCluster) (or WithClusters) inside fn to let the
+// automatic policy choose the hierarchy, or force it with
+// WithAlg(AlgHier).
 func SimulateClusters(nClusters, perCluster int, local, global Machine, carryData bool, fn func(c *Comm) error, opts ...Option) (SimResult, error) {
-	if err := local.Validate(); err != nil {
-		return SimResult{}, err
-	}
-	res, err := simnet.Run(simnet.Config{
-		Rows: nClusters, Cols: perCluster, Machine: local,
-		ClusterSize: perCluster, Inter: global, CarryData: carryData,
-	}, func(ep *simnet.Endpoint) error {
-		c, nerr := New(ep, opts...)
-		if nerr != nil {
-			return nerr
-		}
-		return fn(c)
-	})
-	if err != nil {
-		return SimResult{}, err
-	}
-	return SimResult{Seconds: res.Time, Messages: res.Messages}, nil
+	return SimulateHierarchy(nClusters*perCluster, []int{perCluster}, []Machine{global, local}, carryData, fn, opts...)
 }
 
 // SimulateHierarchy runs fn once per rank of a simulated N-level machine:
