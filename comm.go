@@ -100,7 +100,8 @@ type Comm struct {
 	plans     map[planKey]*core.Plan
 	planHits  atomic.Int64
 	planMiss  atomic.Int64
-	// bufPool recycles the staging buffers plan replays execute against.
+	// bufPool recycles the staging buffers plan replays and the blocking
+	// reductions, scatters and gathers work in.
 	bufPool sync.Pool
 	// prog is the communicator's progress engine: a lazily started
 	// goroutine draining issued requests in FIFO order.
@@ -343,13 +344,18 @@ func (c *Comm) resolveShape(coll model.Collective, nBytes int) Shape {
 // carries reports whether payload bytes move on this transport.
 func (c *Comm) carries() bool { return transport.CarriesData(c.ep) }
 
-// scratch allocates n bytes, or nil on timing-only transports.
-func (c *Comm) scratch(n int) []byte {
+// staging takes a pooled buffer set with work and tmp vectors of the given
+// lengths; like every pooled buffer they arrive holding old data. On
+// timing-only transports no payload moves and the set is the shared empty
+// one. The caller returns the set with putBufs.
+func (c *Comm) staging(work, tmp int) *execBufs {
 	if !c.carries() {
-		return nil
+		return noStaging
 	}
-	return make([]byte, n)
+	return c.getBufs(work, tmp, 0)
 }
+
+var noStaging = &execBufs{} // never written, never pooled
 
 // guard rejects collectives on a communicator whose epoch predates the
 // endpoint's: the world was aborted and recovered past it, so its group
@@ -408,8 +414,9 @@ func (c *Comm) Reduce(send, recv []byte, count int, dt Type, op Op, root int) er
 	if err != nil {
 		return err
 	}
-	work := c.scratch(n)
-	tmp := c.scratch(n)
+	eb := c.staging(n, n)
+	defer c.putBufs(eb)
+	work, tmp := eb.buf, eb.tmp
 	if c.carries() {
 		if len(send) < n {
 			return fmt.Errorf("icc: reduce send buffer %d bytes, need %d", len(send), n)
@@ -435,8 +442,9 @@ func (c *Comm) AllReduce(send, recv []byte, count int, dt Type, op Op) error {
 	if err != nil {
 		return err
 	}
-	work := c.scratch(n)
-	tmp := c.scratch(n)
+	eb := c.staging(n, n)
+	defer c.putBufs(eb)
+	work, tmp := eb.buf, eb.tmp
 	if c.carries() {
 		if len(send) < n || len(recv) < n {
 			return fmt.Errorf("icc: all-reduce buffers %d/%d bytes, need %d", len(send), len(recv), n)
@@ -459,11 +467,7 @@ func (c *Comm) Scatter(send, recv []byte, count int, dt Type, root int) error {
 	if _, err := c.vecBytes(count, dt, c.Size()); err != nil {
 		return err
 	}
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = count
-	}
-	return c.Scatterv(send, counts, recv, dt, root)
+	return c.Scatterv(send, c.equalCounts(count), recv, dt, root)
 }
 
 // Scatterv is Scatter with per-node element counts; node i receives
@@ -473,7 +477,9 @@ func (c *Comm) Scatterv(send []byte, counts []int, recv []byte, dt Type, root in
 	if err != nil {
 		return err
 	}
-	work := c.scratch(total)
+	eb := c.staging(total, 0)
+	defer c.putBufs(eb)
+	work := eb.buf
 	if c.carries() {
 		if c.me == root {
 			if len(send) < total {
@@ -500,11 +506,7 @@ func (c *Comm) Gather(send, recv []byte, count int, dt Type, root int) error {
 	if _, err := c.vecBytes(count, dt, c.Size()); err != nil {
 		return err
 	}
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = count
-	}
-	return c.Gatherv(send, counts, recv, dt, root)
+	return c.Gatherv(send, c.equalCounts(count), recv, dt, root)
 }
 
 // Gatherv is Gather with per-node element counts.
@@ -513,7 +515,9 @@ func (c *Comm) Gatherv(send []byte, counts []int, recv []byte, dt Type, root int
 	if err != nil {
 		return err
 	}
-	work := c.scratch(total)
+	eb := c.staging(total, 0)
+	defer c.putBufs(eb)
+	work := eb.buf
 	mine := offs[c.me+1] - offs[c.me]
 	if c.carries() {
 		if len(send) < mine {
@@ -539,11 +543,7 @@ func (c *Comm) Collect(send, recv []byte, count int, dt Type) error {
 	if _, err := c.vecBytes(count, dt, c.Size()); err != nil {
 		return err
 	}
-	counts := make([]int, c.Size())
-	for i := range counts {
-		counts[i] = count
-	}
-	return c.Collectv(send, counts, recv, dt)
+	return c.Collectv(send, c.equalCounts(count), recv, dt)
 }
 
 // Collectv is Collect with per-node element counts — the "known lengths"
@@ -579,8 +579,9 @@ func (c *Comm) ReduceScatter(send []byte, counts []int, recv []byte, dt Type, op
 	if err != nil {
 		return err
 	}
-	work := c.scratch(total)
-	tmp := c.scratch(total)
+	eb := c.staging(total, total)
+	defer c.putBufs(eb)
+	work, tmp := eb.buf, eb.tmp
 	mine := offs[c.me+1] - offs[c.me]
 	if c.carries() {
 		if len(send) < total {

@@ -4,10 +4,20 @@
 // deterministic in matching (FIFO per pair), and with optional receive
 // timeouts so that a deadlocked collective fails a test instead of hanging
 // it.
+//
+// Send blocks only while its pair's queue is full. SendRecv runs both halves
+// on the caller's goroutine, in whichever order they become ready, so a full
+// ring of simultaneous exchanges cannot deadlock at any buffer depth ≥ 1.
+// A steady-state message costs no goroutine, no timer construction, no
+// world-wide lock and no heap allocation: the abort/epoch state is read from
+// an atomically published snapshot, the receive deadline is a per-endpoint
+// timer armed only when an operation has to block, and payload buffers
+// return to their sender once delivered.
 package chantransport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,13 +44,62 @@ type World struct {
 	size    int
 	queue   [][]chan message // queue[src][dst]
 	timeout time.Duration
+	free    []freeList // free[src]: delivered payload buffers, for src's next sends
 
-	mu         sync.Mutex
+	mu    sync.Mutex // serializes abort and Reset, the only writers of state
+	state atomic.Pointer[state]
+}
+
+// state is the world's abort condition as one immutable snapshot: abort and
+// Reset publish a new one under World.mu, every operation reads the current
+// one without a lock.
+type state struct {
 	poison     *transport.AbortError // current uncleared abort, nil when clear
 	lastPoison *transport.AbortError // most recent abort, kept for late observers
 	epoch      int                   // number of cleared poison generations
 	abortCh    chan struct{}         // closed by the current poison; remade on clear
 	dead       []int                 // sorted world ranks agreed dead
+}
+
+// maxRetained caps the payload bytes one rank's free list holds; buffers
+// handed back beyond it are left to the garbage collector.
+const maxRetained = 16 << 20
+
+// freeList recycles one sender's payload buffers. The receiver hands a
+// buffer back once it has copied the payload out; messages that are stashed
+// or discarded as debris are simply never handed back.
+type freeList struct {
+	mu    sync.Mutex
+	bufs  [][]byte
+	bytes int // sum of cap over bufs, at most maxRetained
+}
+
+// stage copies p into a buffer owned by the message about to be sent.
+func (f *freeList) stage(p []byte) []byte {
+	var b []byte
+	f.mu.Lock()
+	if k := len(f.bufs) - 1; k >= 0 {
+		b, f.bufs[k], f.bufs = f.bufs[k], nil, f.bufs[:k]
+		f.bytes -= cap(b)
+	}
+	f.mu.Unlock()
+	if cap(b) < len(p) {
+		// A b too small is dropped, so the list converges on buffers that
+		// fit the sender's largest message.
+		b = make([]byte, len(p))
+	}
+	b = b[:len(p)]
+	copy(b, p)
+	return b
+}
+
+func (f *freeList) put(b []byte) {
+	f.mu.Lock()
+	if cap(b) > 0 && f.bytes+cap(b) <= maxRetained {
+		f.bufs = append(f.bufs, b)
+		f.bytes += cap(b)
+	}
+	f.mu.Unlock()
 }
 
 // abort poisons the world: every pending and future operation on any rank
@@ -53,32 +112,25 @@ func (w *World) abort(origin int, reason error) {
 	ae := transport.ToAbortError(origin, reason)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.poison != nil {
-		w.poison.Failed = transport.MergeFailed(w.poison.Failed, ae.Failed)
+	st := *w.state.Load()
+	switch {
+	case st.poison != nil:
+		merged := *st.poison
+		merged.Failed = transport.MergeFailed(merged.Failed, ae.Failed)
+		st.poison, st.lastPoison = &merged, &merged
+	case st.epoch > 0 && transport.SubsetOf(ae.Failed, st.dead):
 		return
+	default:
+		st.poison, st.lastPoison = ae, ae
+		close(st.abortCh)
 	}
-	if w.epoch > 0 && transport.SubsetOf(ae.Failed, w.dead) {
-		return
-	}
-	w.poison = ae
-	w.lastPoison = ae
-	close(w.abortCh)
-}
-
-// aborted returns the current poisoning error, or nil.
-func (w *World) aborted() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.poison != nil {
-		return w.poison
-	}
-	return nil
+	w.state.Store(&st)
 }
 
 // staleErr builds the error for an endpoint whose acknowledged epoch
 // predates the world's.
-func (w *World) staleErr(seen int) error {
-	return fmt.Errorf("%w: endpoint at epoch %d, world at %d: %w", transport.ErrStaleEpoch, seen, w.epoch, w.lastPoison)
+func (st *state) staleErr(seen int) error {
+	return fmt.Errorf("%w: endpoint at epoch %d, world at %d: %w", transport.ErrStaleEpoch, seen, st.epoch, st.lastPoison)
 }
 
 // Option configures a World.
@@ -89,9 +141,9 @@ type config struct {
 	timeout time.Duration
 }
 
-// WithBuffer sets the per-pair channel buffer depth (default 64). A depth
-// of at least one is required so that a full ring of SendRecv calls cannot
-// deadlock.
+// WithBuffer sets the per-pair queue depth (default 64; values below one
+// are ignored). The depth only bounds how many unreceived messages a pair
+// holds before Send blocks: SendRecv is ring-safe at any depth.
 func WithBuffer(n int) Option {
 	return func(c *config) {
 		if n > 0 {
@@ -117,7 +169,8 @@ func NewWorld(size int, opts ...Option) (*World, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	w := &World{size: size, timeout: cfg.timeout, abortCh: make(chan struct{})}
+	w := &World{size: size, timeout: cfg.timeout, free: make([]freeList, size)}
+	w.state.Store(&state{abortCh: make(chan struct{})})
 	w.queue = make([][]chan message, size)
 	for s := range w.queue {
 		w.queue[s] = make([]chan message, size)
@@ -182,6 +235,13 @@ type Endpoint struct {
 	closed atomic.Bool
 	seen   atomic.Int64 // last epoch this endpoint acknowledged via Reset
 
+	// timer is the idle deadline timer — stopped, its channel empty — built
+	// when an operation first has to block and reused from then on. The
+	// operation that blocks takes it (leaving nil) and puts it back when it
+	// returns; one that finds nil, because two Sub communicators' progress
+	// goroutines receive at once, builds another.
+	timer atomic.Pointer[time.Timer]
+
 	// The channel per pair is a strict FIFO, so a receive that pops a
 	// message of the other class (recovery traffic during a collective, or
 	// a faster peer's next-epoch collective during recovery) must set it
@@ -217,15 +277,14 @@ func (e *Endpoint) Abort(reason error) { e.world.abort(e.rank, reason) }
 
 // AbortErr returns the world's poisoning error, the stale-epoch error if
 // the world recovered past this endpoint, or nil.
-func (e *Endpoint) AbortErr() error {
-	w := e.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.poison != nil {
-		return w.poison
+func (e *Endpoint) AbortErr() error { return e.abortErr(e.world.state.Load()) }
+
+func (e *Endpoint) abortErr(st *state) error {
+	if st.poison != nil {
+		return st.poison
 	}
-	if seen := int(e.seen.Load()); seen < w.epoch {
-		return w.staleErr(seen)
+	if seen := int(e.seen.Load()); seen < st.epoch {
+		return st.staleErr(seen)
 	}
 	return nil
 }
@@ -238,13 +297,17 @@ func (e *Endpoint) AbortErr() error {
 func (e *Endpoint) Reset(failed []int) {
 	w := e.world
 	w.mu.Lock()
-	w.dead = transport.MergeFailed(w.dead, failed)
-	if w.poison != nil {
-		w.poison = nil
-		w.epoch++
-		w.abortCh = make(chan struct{})
+	st := *w.state.Load()
+	st.dead = transport.MergeFailed(st.dead, failed)
+	if st.poison != nil {
+		st.poison = nil
+		st.epoch++
+		st.abortCh = make(chan struct{})
 	}
-	e.seen.Store(int64(w.epoch))
+	// Acknowledge before publishing, so no concurrent operation on this
+	// endpoint sees the new epoch with the old acknowledgement.
+	e.seen.Store(int64(st.epoch))
+	w.state.Store(&st)
 	w.mu.Unlock()
 	// Any recovery message still stashed belongs to a round at or before
 	// the one this Reset closes: stale by nonce, never to be drained by a
@@ -308,220 +371,252 @@ func (e *Endpoint) unstash(from int, rec bool, tag transport.Tag, epoch int) (me
 }
 
 // Failed returns the sorted set of world ranks agreed dead.
-func (e *Endpoint) Failed() []int {
-	w := e.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]int(nil), w.dead...)
-}
+func (e *Endpoint) Failed() []int { return append([]int(nil), e.world.state.Load().dead...) }
 
 // Epoch returns the world's current epoch.
-func (e *Endpoint) Epoch() int {
-	w := e.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.epoch
-}
+func (e *Endpoint) Epoch() int { return e.world.state.Load().epoch }
 
-// gate checks whether an operation with the given peer may proceed. On
-// success it returns the current abort channel (for wakeup) and the
-// epoch stamp outgoing messages must carry. Recovery-tagged operations
-// run through the poison — the agreement protocol is exactly the traffic
-// that must flow while the world is down — so for them the poison and
-// staleness checks are skipped and no abort wakeup is armed (a nil
-// channel blocks in select).
-func (e *Endpoint) gate(peer int, rec bool) (ch chan struct{}, epoch int, err error) {
-	w := e.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// gate checks whether an operation with the given peer may proceed under
+// the snapshot st. Recovery-tagged operations run through the poison — the
+// agreement protocol is exactly the traffic that must flow while the world
+// is down — so for them the poison and staleness checks are skipped (and
+// transfer arms no abort wakeup).
+func (e *Endpoint) gate(st *state, peer int, rec bool) error {
 	if !rec {
-		if w.poison != nil {
-			return nil, 0, w.poison
-		}
-		if seen := int(e.seen.Load()); seen < w.epoch {
-			return nil, 0, w.staleErr(seen)
-		}
-	}
-	if i := searchInts(w.dead, peer); i >= 0 {
-		return nil, 0, &transport.PeerError{Peer: peer,
-			Err: fmt.Errorf("%w: rank %d is dead (rank %d)", transport.ErrPeerFailed, peer, e.rank)}
-	}
-	if rec {
-		return nil, int(e.seen.Load()), nil
-	}
-	return w.abortCh, int(e.seen.Load()), nil
-}
-
-func searchInts(sorted []int, x int) int {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(sorted) && sorted[lo] == x {
-		return lo
-	}
-	return -1
-}
-
-// Send copies p and enqueues it for rank to. It blocks only if the pair's
-// channel buffer is full.
-func (e *Endpoint) Send(to int, tag transport.Tag, p []byte) error {
-	if e.closed.Load() {
-		return transport.ErrClosed
-	}
-	if err := transport.CheckPeer(e.rank, e.world.size, to); err != nil {
-		return err
-	}
-	data := make([]byte, len(p))
-	copy(data, p)
-	rec := tag.IsRecovery()
-	var timeoutCh <-chan time.Time
-	if rec && e.world.timeout > 0 {
-		// A recovery send has no abort wakeup (it must run through the
-		// poison), so a full queue to a rank that stopped draining —
-		// typically because it is dead — would block forever. Bound it
-		// like a receive and blame the peer.
-		timer := time.NewTimer(e.world.timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
-	}
-	for {
-		ch, epoch, err := e.gate(to, rec)
-		if err != nil {
+		if err := e.abortErr(st); err != nil {
 			return err
 		}
-		select {
-		case e.world.queue[e.rank][to] <- message{tag: tag, data: data, epoch: epoch}:
-			return nil
-		case <-ch:
-			// Poisoned (or recovered past us) while blocked: loop to
-			// pick up the gate's verdict.
-		case <-timeoutCh:
-			return &transport.PeerError{Peer: to,
-				Err: fmt.Errorf("chantransport: rank %d: send to %d tag %#x: %w after %v (peer not draining)",
-					e.rank, to, tag, transport.ErrTimeout, e.world.timeout)}
-		}
 	}
+	if _, dead := slices.BinarySearch(st.dead, peer); dead {
+		return &transport.PeerError{Peer: peer,
+			Err: fmt.Errorf("%w: rank %d is dead (rank %d)", transport.ErrPeerFailed, peer, e.rank)}
+	}
+	return nil
 }
 
-// Recv dequeues the next message from rank from, verifies its tag and
-// length, and copies it into p. Messages stamped with an epoch older than
-// the endpoint's are remnants of a collective cut down by an abort and are
-// silently discarded. A message of the other class — recovery traffic
-// popped by an ordinary receive, or a faster peer's next-epoch collective
-// popped by a recovery receive — is stashed for the receive that can use
-// it, never destroyed (see Endpoint).
-func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
+// match is the one classification every receive applies to the next message
+// from a peer, popped from the pair's queue or its stash: take it, skip it,
+// or fail. Messages stamped with an epoch older than the endpoint's are
+// remnants of a collective cut down by an abort and are skipped. A message
+// of the other class — recovery traffic met by an ordinary receive, or a
+// faster peer's next-epoch collective met by a recovery receive — is stashed
+// for the receive that can use it, never destroyed (see Endpoint).
+func (e *Endpoint) match(from int, m message, rec bool, tag transport.Tag, epoch int) (take bool, err error) {
+	switch mrec := m.tag.IsRecovery(); {
+	case rec && !mrec:
+		if m.epoch > epoch {
+			// A peer that already committed the new epoch started its next
+			// collective; hold the message for this rank's own post-Reset
+			// receive.
+			e.stashAdd(from, m, false)
+		}
+		return false, nil // else debris of a collective cut down by the abort
+	case rec:
+		return m.tag == tag, nil // other tags: an earlier recovery attempt's stale message
+	case mrec && m.epoch < epoch:
+		return false, nil // debris of a recovery round already committed
+	case mrec:
+		// A live agreement message: its sender is recovering and will never
+		// resend it, so destroying it would strand the protocol in mutual
+		// timeouts. Stash it for this rank's own Agree and fail the
+		// collective receive; the mismatch poisons the world blaming nobody,
+		// pushing this rank into the same recovery.
+		e.stashAdd(from, m, true)
+		return false, fmt.Errorf("%w: rank %d expected tag %#x from %d, got recovery message %#x",
+			transport.ErrTagMismatch, e.rank, tag, from, m.tag)
+	case m.epoch < epoch:
+		return false, nil // stale traffic from before the last recovery
+	case m.epoch > epoch:
+		// The sender is an epoch ahead: this endpoint is stale and the gate
+		// says so on the next pass; the message may still be valid after
+		// this rank's own Reset.
+		e.stashAdd(from, m, false)
+		return false, nil
+	case m.tag != tag:
+		return false, fmt.Errorf("%w: rank %d expected tag %#x from %d, got %#x",
+			transport.ErrTagMismatch, e.rank, tag, from, m.tag)
+	}
+	return true, nil
+}
+
+// armTimer takes the endpoint's deadline timer, or builds one, and starts it.
+func (e *Endpoint) armTimer() *time.Timer {
+	t := e.timer.Swap(nil)
+	if t == nil {
+		return time.NewTimer(e.world.timeout)
+	}
+	t.Reset(e.world.timeout)
+	return t
+}
+
+// releaseTimer puts an armed timer back stopped and drained, which is what
+// Reset needs of timers before go 1.23; fired says t.C was received from.
+func (e *Endpoint) releaseTimer(t *time.Timer, fired bool) {
+	if !t.Stop() && !fired {
+		<-t.C
+	}
+	e.timer.Store(t)
+}
+
+// half is one direction of a transfer: the peer, the tag, and the payload
+// to send or the buffer to receive into.
+type half struct {
+	peer int
+	tag  transport.Tag
+	p    []byte
+}
+
+// transfer is the one loop behind Send, Recv and SendRecv. It offers the
+// outgoing message and takes the incoming one in whichever order they
+// become ready, on the caller's goroutine; the abort wakeup and the deadline
+// are shared by both halves. A receive error ends the transfer at once and
+// wins over a send error, so the outgoing message may then never have been
+// sent; a failed send half still lets the receive finish.
+func (e *Endpoint) transfer(send, recv *half) (int, error) {
 	if e.closed.Load() {
 		return 0, transport.ErrClosed
 	}
-	if err := transport.CheckPeer(e.rank, e.world.size, from); err != nil {
-		return 0, err
+	w := e.world
+	var sq, rq chan message // nil once the half is done: a nil channel never selects
+	var out message
+	var srec, rrec bool
+	if recv != nil {
+		if err := transport.CheckPeer(e.rank, w.size, recv.peer); err != nil {
+			return 0, err
+		}
+		rq, rrec = w.queue[recv.peer][e.rank], recv.tag.IsRecovery()
 	}
-	var timer *time.Timer
-	var timeoutCh <-chan time.Time
-	if e.world.timeout > 0 {
-		timer = time.NewTimer(e.world.timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
+	if send != nil {
+		if err := transport.CheckPeer(e.rank, w.size, send.peer); err != nil {
+			return 0, err
+		}
+		sq, srec = w.queue[e.rank][send.peer], send.tag.IsRecovery()
+		out = message{tag: send.tag, data: w.free[e.rank].stage(send.p)}
 	}
-	ch := e.world.queue[from][e.rank]
-	rec := tag.IsRecovery()
-	for {
-		abortCh, epoch, err := e.gate(from, rec)
+	var timer *time.Timer // this call's deadline, armed only once it has to block
+	fired := false
+	defer func() {
+		if timer != nil {
+			e.releaseTimer(timer, fired)
+		}
+	}()
+	var n int
+	var serr error
+	for sq != nil || rq != nil {
+		st := w.state.Load()
+		epoch := int(e.seen.Load())
+		var abortCh chan struct{} // nil (never ready) for recovery traffic
+		if sq != nil {
+			if serr = e.gate(st, send.peer, srec); serr != nil {
+				sq = nil
+				continue
+			}
+			out.epoch = epoch
+			if !srec {
+				abortCh = st.abortCh
+			}
+		}
+		var m message
+		got := false
+		if rq != nil {
+			if err := e.gate(st, recv.peer, rrec); err != nil {
+				return 0, err
+			}
+			if !rrec {
+				abortCh = st.abortCh
+			}
+			m, got = e.unstash(recv.peer, rrec, recv.tag, epoch)
+		}
+		if !got {
+			// Whatever is ready goes first and costs no deadline.
+			select {
+			case sq <- out:
+				sq = nil
+				continue
+			default:
+			}
+			select {
+			case m = <-rq:
+				got = true
+			default:
+			}
+		}
+		if !got {
+			// A receive is bounded, and so is a recovery send: it has no abort
+			// wakeup (it must run through the poison), so a full queue to a
+			// rank that stopped draining — typically because it is dead —
+			// would block it forever.
+			var timeoutCh <-chan time.Time
+			if w.timeout > 0 && (rq != nil || srec) {
+				if timer == nil {
+					timer = e.armTimer()
+				}
+				timeoutCh = timer.C
+			}
+			select {
+			case sq <- out:
+				sq = nil
+				continue
+			case m = <-rq:
+			case <-abortCh:
+				continue // poisoned, or recovered past us: the gate has the verdict
+			case <-timeoutCh:
+				fired = true
+				if rq == nil {
+					return 0, &transport.PeerError{Peer: send.peer,
+						Err: fmt.Errorf("chantransport: rank %d: send to %d tag %#x: %w after %v (peer not draining)",
+							e.rank, send.peer, send.tag, transport.ErrTimeout, w.timeout)}
+				}
+				// If the poison landed in the same instant the timer fired,
+				// the select may pick the timer; the poison explains the
+				// silence, so report it rather than blame a live peer for an
+				// abort it did not cause.
+				if p := w.state.Load().poison; p != nil && !rrec {
+					return 0, p
+				}
+				return 0, &transport.PeerError{Peer: recv.peer,
+					Err: fmt.Errorf("chantransport: rank %d: receive from %d tag %#x: %w after %v (likely collective deadlock)",
+						e.rank, recv.peer, recv.tag, transport.ErrTimeout, w.timeout)}
+			}
+		}
+		take, err := e.match(recv.peer, m, rrec, recv.tag, epoch)
 		if err != nil {
 			return 0, err
 		}
-		m, ok := e.unstash(from, rec, tag, epoch)
-		if !ok {
-			select {
-			case m = <-ch:
-			case <-abortCh:
-				continue
-			case <-timeoutCh:
-				if !rec {
-					// If the poison landed in the same instant the timer
-					// fired, the select may pick the timer; the poison
-					// explains the silence, so report it rather than blame
-					// a live peer for an abort it did not cause.
-					if err := e.world.aborted(); err != nil {
-						return 0, err
-					}
-				}
-				return 0, &transport.PeerError{Peer: from,
-					Err: fmt.Errorf("chantransport: rank %d: receive from %d tag %#x: %w after %v (likely collective deadlock)",
-						e.rank, from, tag, transport.ErrTimeout, e.world.timeout)}
-			}
+		if !take {
+			continue
 		}
-		if rec {
-			if !m.tag.IsRecovery() {
-				if m.epoch > epoch {
-					// A peer that already committed the new epoch started
-					// its next collective; hold the message for this rank's
-					// own post-Reset receive.
-					e.stashAdd(from, m, false)
-				}
-				continue // debris of a collective cut down by the abort
-			}
-			if m.tag != tag {
-				continue // stale message of an earlier recovery attempt
-			}
-		} else {
-			if m.tag.IsRecovery() {
-				if m.epoch < epoch {
-					continue // debris of a recovery round already committed
-				}
-				// A live agreement message: its sender is recovering and
-				// will never resend it, so destroying it would strand the
-				// protocol in mutual timeouts. Stash it for this rank's own
-				// Agree and fail the collective receive; the mismatch
-				// poisons the world blaming nobody, pushing this rank into
-				// the same recovery.
-				e.stashAdd(from, m, true)
-				return 0, fmt.Errorf("%w: rank %d expected tag %#x from %d, got recovery message %#x",
-					transport.ErrTagMismatch, e.rank, tag, from, m.tag)
-			}
-			if m.epoch < epoch {
-				continue // stale traffic from before the last recovery
-			}
-			if m.epoch > epoch {
-				// The sender is an epoch ahead: this endpoint is stale and
-				// the gate says so on the next pass; the message may still
-				// be valid after this rank's own Reset.
-				e.stashAdd(from, m, false)
-				continue
-			}
-			if m.tag != tag {
-				return 0, fmt.Errorf("%w: rank %d expected tag %#x from %d, got %#x",
-					transport.ErrTagMismatch, e.rank, tag, from, m.tag)
-			}
-		}
-		if len(m.data) > len(p) {
+		if len(m.data) > len(recv.p) {
 			return 0, fmt.Errorf("%w: rank %d from %d: message %d bytes, buffer %d",
-				transport.ErrTruncate, e.rank, from, len(m.data), len(p))
+				transport.ErrTruncate, e.rank, recv.peer, len(m.data), len(recv.p))
 		}
-		copy(p, m.data)
-		return len(m.data), nil
-	}
-}
-
-// SendRecv runs the send in a separate goroutine while receiving inline, so
-// a full ring of simultaneous exchanges cannot deadlock regardless of
-// buffer depth.
-func (e *Endpoint) SendRecv(to int, stag transport.Tag, sp []byte, from int, rtag transport.Tag, rp []byte) (int, error) {
-	sendErr := make(chan error, 1)
-	go func() { sendErr <- e.Send(to, stag, sp) }()
-	n, rerr := e.Recv(from, rtag, rp)
-	serr := <-sendErr
-	if rerr != nil {
-		return n, rerr
+		n = copy(recv.p, m.data)
+		w.free[recv.peer].put(m.data)
+		rq = nil
 	}
 	return n, serr
+}
+
+// Send copies p and enqueues it for rank to. It blocks only while the
+// pair's queue is full.
+func (e *Endpoint) Send(to int, tag transport.Tag, p []byte) error {
+	_, err := e.transfer(&half{to, tag, p}, nil)
+	return err
+}
+
+// Recv dequeues the next message from rank from, verifies its tag and
+// length, and copies it into p (see match for what it skips and stashes).
+func (e *Endpoint) Recv(from int, tag transport.Tag, p []byte) (int, error) {
+	return e.transfer(nil, &half{from, tag, p})
+}
+
+// SendRecv sends to one peer and receives from another in one loop on the
+// caller's goroutine (see transfer), so a full ring of simultaneous
+// exchanges, a rank exchanging with itself included, cannot deadlock at any
+// buffer depth. If both halves fail the receive's error is returned; on a
+// receive error the outgoing message may not have been sent.
+func (e *Endpoint) SendRecv(to int, stag transport.Tag, sp []byte, from int, rtag transport.Tag, rp []byte) (int, error) {
+	return e.transfer(&half{to, stag, sp}, &half{from, rtag, rp})
 }
 
 // Close marks the endpoint closed. Messages already queued to other ranks

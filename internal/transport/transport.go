@@ -40,7 +40,9 @@ type Endpoint interface {
 	Recv(from int, tag Tag, p []byte) (int, error)
 	// SendRecv performs Send(to, stag, sp) and Recv(from, rtag, rp)
 	// concurrently, returning the received length. It must not deadlock
-	// when every rank of a ring calls it simultaneously.
+	// when every rank of a ring calls it simultaneously, however little
+	// the transport buffers: neither half may wait for the other. If both
+	// halves fail, the receive's error is the one returned.
 	SendRecv(to int, stag Tag, sp []byte, from int, rtag Tag, rp []byte) (int, error)
 	// Close releases the endpoint. Further operations fail.
 	Close() error

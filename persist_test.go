@@ -368,6 +368,60 @@ func TestNonBlockingBackToBack(t *testing.T) {
 	}
 }
 
+// TestNonBlockingOnTwoSubs: a rank that belongs to two sub-communicators
+// with a non-blocking collective in flight on each has two progress
+// goroutines receiving on its one endpoint at the same time, each from its
+// own peer. Both complete, every round, under the race detector.
+func TestNonBlockingOnTwoSubs(t *testing.T) {
+	const p, count, rounds = 4, 16, 200
+	w := icc.NewChannelWorld(p)
+	if err := w.Run(func(c *icc.Comm) error {
+		me := c.Rank()
+		// A 2x2 grid: each rank shares a row pair with me^1 and a column
+		// pair with me^2. Every rank calls Sub for every group.
+		var subs []*icc.Comm
+		for _, g := range [][]int{{0, 1}, {2, 3}, {0, 2}, {1, 3}} {
+			sub, err := c.Sub(g)
+			if err != nil {
+				return err
+			}
+			if sub != nil {
+				subs = append(subs, sub)
+			}
+		}
+		if len(subs) != 2 {
+			return fmt.Errorf("rank %d: member of %d groups, want 2", me, len(subs))
+		}
+		partners := []int{me ^ 1, me ^ 2}
+		recv := [][]byte{make([]byte, count*8), make([]byte, count*8)}
+		for round := 0; round < rounds; round++ {
+			var reqs [2]*icc.Request
+			for i, sub := range subs {
+				r, err := sub.IAllReduce(confInt64s(me, count, round+i), recv[i], count, icc.Int64, icc.Sum)
+				if err != nil {
+					return err
+				}
+				reqs[i] = r
+			}
+			for i, r := range reqs {
+				if err := r.Wait(); err != nil {
+					return fmt.Errorf("rank %d round %d group %d: %w", me, round, i, err)
+				}
+				got := datatype.Int64s(recv[i])
+				mine, theirs := datatype.Int64s(confInt64s(me, count, round+i)), datatype.Int64s(confInt64s(partners[i], count, round+i))
+				for j := range got {
+					if got[j] != mine[j]+theirs[j] {
+						return fmt.Errorf("rank %d round %d group %d elem %d: %d, want %d", me, round, i, j, got[j], mine[j]+theirs[j])
+					}
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestNonBlockingAllVariants: every I* collective completes with the same
 // result as its blocking counterpart, issued in one SPMD program.
 func TestNonBlockingAllVariants(t *testing.T) {

@@ -121,20 +121,24 @@ type execBufs struct {
 	buf, tmp, scratch []byte
 }
 
-// getBufs takes a staging set from the pool, growing it to the plan's
-// declared lengths; steady-state replays therefore allocate nothing.
-func (c *Comm) getBufs(pl *core.Plan) *execBufs {
+// getBufs takes a staging set from the pool, growing it to the given
+// lengths; steady-state calls therefore allocate nothing.
+func (c *Comm) getBufs(buf, tmp, scratch int) *execBufs {
 	eb, _ := c.bufPool.Get().(*execBufs)
 	if eb == nil {
 		eb = &execBufs{}
 	}
-	eb.buf = grow(eb.buf, pl.BufLen)
-	eb.tmp = grow(eb.tmp, pl.TmpLen)
-	eb.scratch = grow(eb.scratch, pl.ScratchLen)
+	eb.buf = grow(eb.buf, buf)
+	eb.tmp = grow(eb.tmp, tmp)
+	eb.scratch = grow(eb.scratch, scratch)
 	return eb
 }
 
-func (c *Comm) putBufs(eb *execBufs) { c.bufPool.Put(eb) }
+func (c *Comm) putBufs(eb *execBufs) {
+	if eb != noStaging {
+		c.bufPool.Put(eb)
+	}
+}
 
 func grow(b []byte, n int) []byte {
 	if cap(b) < n {
@@ -164,14 +168,15 @@ func (b *boundPlan) run() error {
 	carry := c.carries()
 	var bs core.Buffers
 	var eb *execBufs
+	get := func() { eb = c.getBufs(b.pl.BufLen, b.pl.TmpLen, b.pl.ScratchLen) }
 	stage := func() {
-		eb = c.getBufs(b.pl)
+		get()
 		bs.Buf, bs.Tmp, bs.Scratch = eb.buf, eb.tmp, eb.scratch
 	}
 	switch b.kind {
 	case planBcast:
 		// In place in the user's buffer; only internal scratch is pooled.
-		eb = c.getBufs(b.pl)
+		get()
 		bs.Scratch = eb.scratch
 		if carry {
 			bs.Buf = b.send[:b.n]
@@ -193,14 +198,14 @@ func (b *boundPlan) run() error {
 		}
 	case planCollect:
 		// The recv vector is the working buffer, as in Collectv.
-		eb = c.getBufs(b.pl)
+		get()
 		bs.Scratch = eb.scratch
 		if carry {
 			bs.Buf = b.recv[:b.pl.BufLen]
 			copy(bs.Buf[c.me*b.n:(c.me+1)*b.n], b.send[:b.n])
 		}
 	case planAllToAll:
-		eb = c.getBufs(b.pl)
+		get()
 		bs.Scratch = eb.scratch
 		if carry {
 			bs.Buf = b.send[:b.pl.BufLen]

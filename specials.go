@@ -58,8 +58,9 @@ func (c *Comm) BcastEDST(buf []byte, count int, dt Type, root int) error {
 // must be a power of two. work must hold count elements of scratch.
 func (c *Comm) AllReduceHypercube(send, recv []byte, count int, dt Type, op Op) error {
 	n := count * dt.Size()
-	work := c.scratch(n)
-	tmp := c.scratch(n)
+	eb := c.staging(n, n)
+	defer c.putBufs(eb)
+	work, tmp := eb.buf, eb.tmp
 	if c.carries() {
 		copy(work, send[:n])
 	}
