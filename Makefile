@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet fmtcheck test race chaos chaos-soak guidelines calibrate bench-check ab benchall sweep hiersweep
+.PHONY: verify build vet fmtcheck one-path test race chaos chaos-soak guidelines calibrate bench-check ab benchall sweep hiersweep
 
-verify: build vet fmtcheck test race chaos guidelines-short bench-check
+verify: build vet fmtcheck one-path test race chaos guidelines-short bench-check
 
 vet:
 	$(GO) vet ./...
@@ -21,6 +21,20 @@ fmtcheck:
 
 build:
 	$(GO) build ./...
+
+# one-path keeps a second way to execute a collective from growing back.
+# In internal/core only plan.go (Plan.Execute) may call an endpoint; the
+# root package may call core only to build a plan (Build*), partition a
+# vector (EqualCounts), size a pipeline (OptimalBlocks) or price an
+# algorithm (*Cost) — never to run one.
+ENDPOINT_CALLS = '\.Send\(|\.Recv\(|\.SendRecv\(|SendSize\(|RecvSize\(|SendRecvSize\(|transport\.Elapse\('
+CORE_ALLOWED = 'core\.(Build[A-Za-z]*|EqualCounts|OptimalBlocks|[A-Za-z]*Cost)\('
+
+one-path:
+	@out=$$(grep -nE $(ENDPOINT_CALLS) $$(ls internal/core/*.go | grep -v -e '_test\.go$$' -e '/plan\.go$$')); \
+	if [ -n "$$out" ]; then echo "endpoint call in internal/core outside plan.go:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -noE 'core\.[A-Za-z]+\(' $$(ls *.go | grep -v '_test\.go$$') | grep -vE $(CORE_ALLOWED)); \
+	if [ -n "$$out" ]; then echo "root package calls core other than to build a plan:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

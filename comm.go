@@ -2,7 +2,6 @@ package icc
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,19 +88,17 @@ type Comm struct {
 	hasHier   bool
 	gplanner  *model.Planner
 	unstriped bool
-	// Plan-amortization state (persistent.go, nonblocking.go, request.go).
-	// All lazily initialized under planMu, so communicators built by
-	// derive start with valid zero values. shapeMemo short-circuits
-	// shape resolution for repeated (collective, length) calls on the
-	// blocking path; plans caches full step plans for the persistent and
-	// non-blocking paths; hits/misses feed PlanCacheStats.
+	// Plan state (plan.go). All lazily initialized under planMu, so
+	// communicators built by derive start with valid zero values. plans
+	// caches the step plan of every signature any completion mode has
+	// called; shapeMemo lets plans that differ only in root, type or op
+	// share one shape resolution; hits/misses feed PlanCacheStats.
 	planMu    sync.Mutex
 	shapeMemo map[shapeKey]Shape
-	plans     map[planKey]*core.Plan
+	plans     map[planKey]planEntry
 	planHits  atomic.Int64
 	planMiss  atomic.Int64
-	// bufPool recycles the staging buffers plan replays and the blocking
-	// reductions, scatters and gathers work in.
+	// bufPool recycles the staging vectors and scratch arenas plans run in.
 	bufPool sync.Pool
 	// prog is the communicator's progress engine: a lazily started
 	// goroutine draining issued requests in FIFO order.
@@ -289,9 +286,9 @@ func (c *Comm) hierarchy() model.Hierarchy {
 }
 
 // shape resolves the algorithm policy into a concrete hybrid shape for an
-// n-byte vector, memoized per (collective, length): a long-lived
-// communicator issuing the same collective repeatedly resolves its shape
-// once and hits the memo ever after.
+// n-byte vector, memoized per (collective, length): plans for the same
+// collective and length that differ in root, type or op resolve their shape
+// once.
 func (c *Comm) shape(coll model.Collective, nBytes int) Shape {
 	key := shapeKey{coll, nBytes}
 	c.planMu.Lock()
@@ -344,19 +341,6 @@ func (c *Comm) resolveShape(coll model.Collective, nBytes int) Shape {
 // carries reports whether payload bytes move on this transport.
 func (c *Comm) carries() bool { return transport.CarriesData(c.ep) }
 
-// staging takes a pooled buffer set with work and tmp vectors of the given
-// lengths; like every pooled buffer they arrive holding old data. On
-// timing-only transports no payload moves and the set is the shared empty
-// one. The caller returns the set with putBufs.
-func (c *Comm) staging(work, tmp int) *execBufs {
-	if !c.carries() {
-		return noStaging
-	}
-	return c.getBufs(work, tmp, 0)
-}
-
-var noStaging = &execBufs{} // never written, never pooled
-
 // guard rejects collectives on a communicator whose epoch predates the
 // endpoint's: the world was aborted and recovered past it, so its group
 // may contain agreed-dead ranks and its cached plans dead routes. The
@@ -370,235 +354,70 @@ func (c *Comm) guard() error {
 	return nil
 }
 
-// vecBytes validates an element count and returns the vector's byte
-// length count·dt.Size()·scale, rejecting negative counts and products
-// that overflow int — the arguments that previously crashed the process
-// inside makeslice. As the funnel every vector collective validates
-// through, it also runs the epoch guard.
-func (c *Comm) vecBytes(count int, dt Type, scale int) (int, error) {
-	if err := c.guard(); err != nil {
-		return 0, err
-	}
-	if count < 0 {
-		return 0, fmt.Errorf("icc: negative count %d", count)
-	}
-	es := dt.Size()
-	if es <= 0 {
-		return 0, fmt.Errorf("icc: invalid element size %d", es)
-	}
-	if count > 0 && es > math.MaxInt/count {
-		return 0, fmt.Errorf("icc: vector of %d × %d-byte elements overflows", count, es)
-	}
-	n := count * es
-	if scale > 1 && n > 0 && scale > math.MaxInt/n {
-		return 0, fmt.Errorf("icc: vector of %d × %d × %d bytes overflows", scale, count, es)
-	}
-	return n * scale, nil
-}
+// The blocking collectives. Each describes its call as a bound plan
+// (plan.go) and runs it on the caller's goroutine.
 
 // Bcast broadcasts count elements of type dt from root to every node, in
 // place in buf (Table 1: x at all Pj).
 func (c *Comm) Bcast(buf []byte, count int, dt Type, root int) error {
-	n, err := c.vecBytes(count, dt, 1)
-	if err != nil {
-		return err
-	}
-	return core.Bcast(c.ctx(), c.shape(model.Bcast, n), root, buf, count, dt.Size())
+	return runNow(c.bcast(buf, count, dt, root))
 }
 
 // Reduce combines each node's count-element send vector with op and leaves
 // the result in recv on the root (Table 1: ⊕y(j) at Pk). recv is only
 // written on the root and must not overlap send.
 func (c *Comm) Reduce(send, recv []byte, count int, dt Type, op Op, root int) error {
-	n, err := c.vecBytes(count, dt, 1)
-	if err != nil {
-		return err
-	}
-	eb := c.staging(n, n)
-	defer c.putBufs(eb)
-	work, tmp := eb.buf, eb.tmp
-	if c.carries() {
-		if len(send) < n {
-			return fmt.Errorf("icc: reduce send buffer %d bytes, need %d", len(send), n)
-		}
-		copy(work, send[:n])
-	}
-	if err := core.Reduce(c.ctx(), c.shape(model.Reduce, n), root, work, tmp, count, dt, op); err != nil {
-		return err
-	}
-	if c.me == root && c.carries() {
-		if len(recv) < n {
-			return fmt.Errorf("icc: reduce recv buffer %d bytes, need %d", len(recv), n)
-		}
-		copy(recv[:n], work)
-	}
-	return nil
+	return runNow(c.reduce(send, recv, count, dt, op, root))
 }
 
 // AllReduce combines each node's send vector and leaves the result in recv
 // on every node (Table 1: ⊕y(j) at all Pj).
 func (c *Comm) AllReduce(send, recv []byte, count int, dt Type, op Op) error {
-	n, err := c.vecBytes(count, dt, 1)
-	if err != nil {
-		return err
-	}
-	eb := c.staging(n, n)
-	defer c.putBufs(eb)
-	work, tmp := eb.buf, eb.tmp
-	if c.carries() {
-		if len(send) < n || len(recv) < n {
-			return fmt.Errorf("icc: all-reduce buffers %d/%d bytes, need %d", len(send), len(recv), n)
-		}
-		copy(work, send[:n])
-	}
-	if err := core.AllReduce(c.ctx(), c.shape(model.AllReduce, n), work, tmp, count, dt, op); err != nil {
-		return err
-	}
-	if c.carries() {
-		copy(recv[:n], work)
-	}
-	return nil
+	return runNow(c.allReduce(send, recv, count, dt, op))
 }
 
 // Scatter splits root's send vector into equal count-element segments and
 // delivers segment i to node i's recv (Table 1: xj at Pj). send is read
 // only on the root.
 func (c *Comm) Scatter(send, recv []byte, count int, dt Type, root int) error {
-	if _, err := c.vecBytes(count, dt, c.Size()); err != nil {
-		return err
-	}
-	return c.Scatterv(send, c.equalCounts(count), recv, dt, root)
+	return runNow(c.scatter(send, count, nil, false, recv, dt, root))
 }
 
 // Scatterv is Scatter with per-node element counts; node i receives
 // counts[i] elements.
 func (c *Comm) Scatterv(send []byte, counts []int, recv []byte, dt Type, root int) error {
-	offs, total, err := c.offsets(counts, dt)
-	if err != nil {
-		return err
-	}
-	eb := c.staging(total, 0)
-	defer c.putBufs(eb)
-	work := eb.buf
-	if c.carries() {
-		if c.me == root {
-			if len(send) < total {
-				return fmt.Errorf("icc: scatter send buffer %d bytes, need %d", len(send), total)
-			}
-			copy(work, send[:total])
-		}
-		if len(recv) < offs[c.me+1]-offs[c.me] {
-			return fmt.Errorf("icc: scatter recv buffer %d bytes, need %d", len(recv), offs[c.me+1]-offs[c.me])
-		}
-	}
-	if err := core.Scatter(c.ctx(), c.shape(model.Scatter, total), root, work, counts, dt.Size()); err != nil {
-		return err
-	}
-	if c.carries() {
-		copy(recv, work[offs[c.me]:offs[c.me+1]])
-	}
-	return nil
+	return runNow(c.scatter(send, 0, counts, true, recv, dt, root))
 }
 
 // Gather assembles each node's count-element send segment into recv on the
 // root (Table 1: x at Pk). recv is only written on the root.
 func (c *Comm) Gather(send, recv []byte, count int, dt Type, root int) error {
-	if _, err := c.vecBytes(count, dt, c.Size()); err != nil {
-		return err
-	}
-	return c.Gatherv(send, c.equalCounts(count), recv, dt, root)
+	return runNow(c.gather(send, count, nil, false, recv, dt, root))
 }
 
 // Gatherv is Gather with per-node element counts.
 func (c *Comm) Gatherv(send []byte, counts []int, recv []byte, dt Type, root int) error {
-	offs, total, err := c.offsets(counts, dt)
-	if err != nil {
-		return err
-	}
-	eb := c.staging(total, 0)
-	defer c.putBufs(eb)
-	work := eb.buf
-	mine := offs[c.me+1] - offs[c.me]
-	if c.carries() {
-		if len(send) < mine {
-			return fmt.Errorf("icc: gather send buffer %d bytes, need %d", len(send), mine)
-		}
-		copy(work[offs[c.me]:offs[c.me+1]], send[:mine])
-	}
-	if err := core.Gather(c.ctx(), c.shape(model.Gather, total), root, work, counts, dt.Size()); err != nil {
-		return err
-	}
-	if c.me == root && c.carries() {
-		if len(recv) < total {
-			return fmt.Errorf("icc: gather recv buffer %d bytes, need %d", len(recv), total)
-		}
-		copy(recv[:total], work)
-	}
-	return nil
+	return runNow(c.gather(send, 0, counts, true, recv, dt, root))
 }
 
 // Collect assembles each node's count-element send segment on every node
 // (Table 1: x at all Pj) — the all-gather.
 func (c *Comm) Collect(send, recv []byte, count int, dt Type) error {
-	if _, err := c.vecBytes(count, dt, c.Size()); err != nil {
-		return err
-	}
-	return c.Collectv(send, c.equalCounts(count), recv, dt)
+	return runNow(c.collect(send, count, nil, false, recv, dt))
 }
 
 // Collectv is Collect with per-node element counts — the "known lengths"
 // collect of Table 3. recv spans the whole vector on every node and is
 // used as the working buffer.
 func (c *Comm) Collectv(send []byte, counts []int, recv []byte, dt Type) error {
-	offs, total, err := c.offsets(counts, dt)
-	if err != nil {
-		return err
-	}
-	mine := offs[c.me+1] - offs[c.me]
-	if c.carries() {
-		if len(send) < mine {
-			return fmt.Errorf("icc: collect send buffer %d bytes, need %d", len(send), mine)
-		}
-		if len(recv) < total {
-			return fmt.Errorf("icc: collect recv buffer %d bytes, need %d", len(recv), total)
-		}
-		copy(recv[offs[c.me]:offs[c.me+1]], send[:mine])
-	}
-	var buf []byte
-	if c.carries() {
-		buf = recv[:total]
-	}
-	return core.Collect(c.ctx(), c.shape(model.Collect, total), buf, counts, dt.Size())
+	return runNow(c.collect(send, 0, counts, true, recv, dt))
 }
 
 // ReduceScatter combines every node's full send vector with op and leaves
 // segment i (counts[i] elements) in node i's recv — Table 1's distributed
 // combine.
 func (c *Comm) ReduceScatter(send []byte, counts []int, recv []byte, dt Type, op Op) error {
-	offs, total, err := c.offsets(counts, dt)
-	if err != nil {
-		return err
-	}
-	eb := c.staging(total, total)
-	defer c.putBufs(eb)
-	work, tmp := eb.buf, eb.tmp
-	mine := offs[c.me+1] - offs[c.me]
-	if c.carries() {
-		if len(send) < total {
-			return fmt.Errorf("icc: reduce-scatter send buffer %d bytes, need %d", len(send), total)
-		}
-		if len(recv) < mine {
-			return fmt.Errorf("icc: reduce-scatter recv buffer %d bytes, need %d", len(recv), mine)
-		}
-		copy(work, send[:total])
-	}
-	if err := core.ReduceScatter(c.ctx(), c.shape(model.ReduceScatter, total), work, tmp, counts, dt, op); err != nil {
-		return err
-	}
-	if c.carries() {
-		copy(recv[:mine], work[offs[c.me]:offs[c.me+1]])
-	}
-	return nil
+	return runNow(c.reduceScatter(send, counts, recv, dt, op))
 }
 
 // AllToAll performs the complete exchange with equal per-pair counts:
@@ -608,23 +427,11 @@ func (c *Comm) ReduceScatter(send []byte, counts []int, recv []byte, dt Type, op
 // relay (short vectors, ⌈log₂p⌉ steps) and the rotation/pairwise schedule
 // (long vectors, bandwidth-optimal) analytically, and composes the
 // exchange hierarchically on clustered communicators when the two-level
-// model predicts a win. send and recv must not overlap.
+// model predicts a win. The plan only reads send and fully writes recv, so
+// the user's buffers serve directly, with no staging copies; send and recv
+// must not overlap.
 func (c *Comm) AllToAll(send, recv []byte, count int, dt Type) error {
-	n, err := c.vecBytes(count, dt, c.Size())
-	if err != nil {
-		return err
-	}
-	var sb, rb []byte
-	if c.carries() {
-		if len(send) < n || len(recv) < n {
-			return fmt.Errorf("icc: all-to-all buffers %d/%d bytes, need %d", len(send), len(recv), n)
-		}
-		// The core only reads send and fully writes recv, so the user's
-		// buffers serve directly — no staging copies on the one collective
-		// whose vectors span p·count elements.
-		sb, rb = send[:n], recv[:n]
-	}
-	return core.AllToAll(c.ctx(), c.shape(model.AllToAll, n), sb, rb, count, dt.Size())
+	return runNow(c.allToAll(send, recv, count, dt))
 }
 
 // AllToAllv is AllToAll with per-pair element counts: this rank sends
@@ -633,67 +440,20 @@ func (c *Comm) AllToAll(send, recv []byte, count int, dt Type) error {
 // recvCounts[i]. By default blocks travel directly (the pairwise
 // schedule): relaying schedules would require the full count matrix,
 // which — as in MPI_Alltoallv — no single rank holds. Under AlgHier on a
-// clustered communicator the library assembles that matrix on the fly
-// (leaders allgather their members' count rows) and runs the ragged
-// cluster exchange, aggregating every cluster-pair's blocks into one
-// coarse-network message. The policy gate is the algorithm choice, not
-// the byte count, so every rank takes the same path even though their
-// vector lengths differ.
+// clustered communicator the library assembles that matrix first (an
+// all-gather of the count rows) and runs the ragged cluster exchange,
+// aggregating every cluster-pair's blocks into one coarse-network message.
+// The policy gate is the algorithm choice, not the byte count, so every
+// rank takes the same path even though their vector lengths differ.
 func (c *Comm) AllToAllv(send []byte, sendCounts []int, recv []byte, recvCounts []int, dt Type) error {
-	_, sTotal, err := c.offsets(sendCounts, dt)
-	if err != nil {
-		return err
+	if c.alg.kind == algHier && c.hasTopo && c.carries() {
+		return c.hierAllToAllv(send, sendCounts, recv, recvCounts, dt)
 	}
-	_, rTotal, err := c.offsets(recvCounts, dt)
-	if err != nil {
-		return err
-	}
-	var sb, rb []byte
-	if c.carries() {
-		if len(send) < sTotal {
-			return fmt.Errorf("icc: all-to-allv send buffer %d bytes, need %d", len(send), sTotal)
-		}
-		if len(recv) < rTotal {
-			return fmt.Errorf("icc: all-to-allv recv buffer %d bytes, need %d", len(recv), rTotal)
-		}
-		sb, rb = send[:sTotal], recv[:rTotal]
-	}
-	var s Shape
-	if c.alg.kind == algHier && c.hasTopo {
-		s = model.HierShape()
-	}
-	return core.AllToAllv(c.ctx(), s, sb, sendCounts, rb, recvCounts, dt.Size())
+	return runNow(c.allToAllv(send, sendCounts, recv, recvCounts, dt))
 }
 
 // Barrier blocks until every node of the communicator has entered it,
 // implemented as a zero-length combine-to-all.
 func (c *Comm) Barrier() error {
-	if err := c.guard(); err != nil {
-		return err
-	}
-	s := model.MSTShape(c.layout)
-	return core.AllReduce(c.ctx(), s, nil, nil, 0, Uint8, Sum)
-}
-
-// offsets validates counts and returns byte offsets plus the total byte
-// length.
-func (c *Comm) offsets(counts []int, dt Type) ([]int, int, error) {
-	if err := c.guard(); err != nil {
-		return nil, 0, err
-	}
-	if len(counts) != c.Size() {
-		return nil, 0, fmt.Errorf("icc: %d counts for communicator of %d", len(counts), c.Size())
-	}
-	es := dt.Size()
-	offs := make([]int, len(counts)+1)
-	for i, n := range counts {
-		if n < 0 {
-			return nil, 0, fmt.Errorf("icc: negative count %d at %d", n, i)
-		}
-		if n > 0 && (es > math.MaxInt/n || offs[i] > math.MaxInt-n*es) {
-			return nil, 0, fmt.Errorf("icc: counts overflow at %d", i)
-		}
-		offs[i+1] = offs[i] + n*es
-	}
-	return offs, offs[len(counts)], nil
+	return runNow(c.barrier())
 }

@@ -115,25 +115,42 @@
 // in MPI_Alltoallv). Under AlgAuto its blocks travel directly via the
 // pairwise schedule — aggregating other ranks' blocks needs the full
 // count matrix, which no single rank holds. Forcing AlgHier on a
-// partitioned communicator buys that matrix: leaders allgather the
+// partitioned communicator buys that matrix: the ranks all-gather the
 // per-pair counts first, then run the same aggregated cluster-pair
 // exchange as AllToAll, zeros and all.
 //
+// # Execution model: every call is a plan lookup and Plan.Execute
+//
+// The paper's algorithms are data-oblivious: once the group, the shape,
+// the root and the byte layout are fixed, so are the sends, receives,
+// combines and copies a rank performs. The library therefore has one way to
+// execute a collective. The first call with a given signature — collective,
+// counts, type, op, root — runs the analytic planner, has internal/core
+// build the chosen hybrid's complete step sequence as a Plan (the
+// algorithms there are pure builders: they never see a transport or a
+// payload), and caches it on the communicator; every call, first or
+// later, then binds the plan to its buffers and runs Plan.Execute, the
+// only code that touches the transport. A warmed call re-derives no
+// shape, coordinate or offset, stages through pooled buffers and
+// allocates nothing. Per-rank count vectors (Scatterv, Gatherv, Collectv,
+// ReduceScatter, AllToAllv) are part of the signature; the cache holds a
+// bounded number of plans and PlanCacheStats reports entries, hits and
+// misses. The one schedule that does depend on data, the hierarchical
+// AllToAllv, is two plans: a cached all-gather of the count matrix, then
+// an exchange plan built from it for that call.
+//
+// The three completion modes are three uses of the same bound plan. A
+// blocking call runs it on the caller's goroutine. Every fixed-count
+// collective also has a non-blocking variant (IBcast, IAllReduce, …),
+// which hands it to the communicator's progress goroutine and returns a
+// *Request immediately, and a persistent form (BcastInit, AllReduceInit, …
+// returning a *Persistent handle driven by Start and Wait), which keeps
+// it.
+//
 // # Non-blocking and persistent collectives
 //
-// Every fixed-count collective has a non-blocking variant (IBcast,
-// IAllReduce, …) returning a *Request immediately, and a persistent form
-// (BcastInit, AllReduceInit, … returning a *Persistent handle driven by
-// Start and Wait). Both are built on the same plan machinery: the first
-// call with a given (collective, count, type, op, root) signature runs
-// the analytic planner once, records the chosen hybrid's complete
-// send/recv/combine step sequence as a Plan, and caches it on the
-// communicator; subsequent calls replay the cached plan in a tight loop
-// with pooled staging buffers, allocating nothing in steady state.
-// PlanCacheStats reports entries, hits and misses.
-//
-// Handle lifecycle: an Init call validates its arguments, resolves (or
-// records) the plan, and pins the argument buffers — but communicates
+// Handle lifecycle: an Init call validates its arguments, finds (or
+// builds) the plan, and pins the argument buffers — but communicates
 // nothing. Start begins one execution, reading the send buffer as of
 // that moment; Wait (or a successful Test) completes it, after which the
 // same handle may be Started again any number of times. Free releases

@@ -51,7 +51,7 @@ func TestAllToAllBothSchedules(t *testing.T) {
 					runWorld(t, p, func(c Ctx) error {
 						send := xSend(c.Me, p, count)
 						recv := make([]byte, p*count)
-						if err := AllToAll(c, s, send, recv, count, 1); err != nil {
+						if err := c.Run(Buffers{Buf: send, Tmp: recv})(BuildAllToAll(c, s, count, 1)); err != nil {
 							return err
 						}
 						if want := xWant(c.Me, p, count); !bytes.Equal(recv, want) {
@@ -77,7 +77,7 @@ func TestAllToAllMultiDimShapes(t *testing.T) {
 			runWorld(t, p, func(c Ctx) error {
 				send := xSend(c.Me, p, count)
 				recv := make([]byte, p*count)
-				if err := AllToAll(c, s, send, recv, count, 1); err != nil {
+				if err := c.Run(Buffers{Buf: send, Tmp: recv})(BuildAllToAll(c, s, count, 1)); err != nil {
 					return err
 				}
 				if want := xWant(c.Me, p, count); !bytes.Equal(recv, want) {
@@ -120,7 +120,7 @@ func TestAllToAllvRagged(t *testing.T) {
 					want = append(want, xBlock(src, c.Me, recvCounts[src])...)
 				}
 				recv := make([]byte, len(want))
-				if err := AllToAllv(c, model.Shape{}, send, sendCounts, recv, recvCounts, 1); err != nil {
+				if err := c.Run(Buffers{Buf: send, Tmp: recv})(BuildAllToAllv(c, sendCounts, recvCounts, 1)); err != nil {
 					return err
 				}
 				if !bytes.Equal(recv, want) {
@@ -171,7 +171,7 @@ func TestHierAllToAllPartitions(t *testing.T) {
 						c.Hierarchy = &tl
 						send := xSend(c.Me, p, count)
 						recv := make([]byte, p*count)
-						if err := AllToAll(c, model.HierShape(), send, recv, count, 1); err != nil {
+						if err := c.Run(Buffers{Buf: send, Tmp: recv})(BuildAllToAll(c, model.HierShape(), count, 1)); err != nil {
 							return err
 						}
 						if want := xWant(c.Me, p, count); !bytes.Equal(recv, want) {
@@ -189,27 +189,27 @@ func TestHierAllToAllPartitions(t *testing.T) {
 func TestAllToAllErrors(t *testing.T) {
 	runWorld(t, 2, func(c Ctx) error {
 		short, _ := model.AllToAllShapes(2)
-		if err := AllToAll(c, short, nil, nil, -1, 1); err == nil {
+		if err := c.Run(Buffers{})(BuildAllToAll(c, short, -1, 1)); err == nil {
 			return fmt.Errorf("negative count accepted")
 		}
-		if err := AllToAll(c, short, nil, nil, 1, 0); err == nil {
+		if err := c.Run(Buffers{})(BuildAllToAll(c, short, 1, 0)); err == nil {
 			return fmt.Errorf("zero element size accepted")
 		}
-		if err := AllToAll(c, short, make([]byte, 1), make([]byte, 16), 1, 8); err == nil {
+		if err := c.Run(Buffers{Buf: make([]byte, 1), Tmp: make([]byte, 16)})(BuildAllToAll(c, short, 1, 8)); err == nil {
 			return fmt.Errorf("short send buffer accepted")
 		}
-		if err := AllToAll(c, short, make([]byte, 16), make([]byte, 1), 1, 8); err == nil {
+		if err := c.Run(Buffers{Buf: make([]byte, 16), Tmp: make([]byte, 1)})(BuildAllToAll(c, short, 1, 8)); err == nil {
 			return fmt.Errorf("short recv buffer accepted")
 		}
-		if err := AllToAll(c, model.HierShape(), make([]byte, 16), make([]byte, 16), 1, 8); err == nil {
+		if err := c.Run(Buffers{Buf: make([]byte, 16), Tmp: make([]byte, 16)})(BuildAllToAll(c, model.HierShape(), 1, 8)); err == nil {
 			return fmt.Errorf("hierarchical shape without a partition accepted")
 		}
-		if err := AllToAllv(c, model.Shape{}, nil, []int{1}, nil, []int{1, 1}, 1); err == nil {
+		if err := c.Run(Buffers{})(BuildAllToAllv(c, []int{1}, []int{1, 1}, 1)); err == nil {
 			return fmt.Errorf("wrong sendCounts length accepted")
 		}
 		// Self-block mismatch on both ranks, so the failure is symmetric
 		// (SPMD) and no rank is left waiting on a peer that errored out.
-		if err := AllToAllv(c, model.Shape{}, make([]byte, 4), []int{2, 2}, make([]byte, 2), []int{1, 1}, 1); err == nil {
+		if err := c.Run(Buffers{Buf: make([]byte, 4), Tmp: make([]byte, 2)})(BuildAllToAllv(c, []int{2, 2}, []int{1, 1}, 1)); err == nil {
 			return fmt.Errorf("inconsistent self count accepted")
 		}
 		return nil

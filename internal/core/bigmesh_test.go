@@ -32,7 +32,7 @@ func TestBigMeshBroadcast15x30(t *testing.T) {
 			if ep.Rank() == 17 {
 				copy(buf, want)
 			}
-			if err := Bcast(c, shape, 17, buf, count, 1); err != nil {
+			if err := c.Run(Buffers{Buf: buf})(BuildBcast(c, shape, 17, count, 1)); err != nil {
 				return err
 			}
 			if !bytes.Equal(buf, want) {
@@ -61,7 +61,7 @@ func TestBigMeshCollect16x32(t *testing.T) {
 			c := NewCtx(ep, 1)
 			buf := make([]byte, offs[p])
 			fill(buf[offs[ep.Rank()]:offs[ep.Rank()+1]], ep.Rank())
-			if err := Collect(c, shape, buf, counts, 1); err != nil {
+			if err := c.Run(Buffers{Buf: buf})(BuildCollect(c, shape, counts, 1)); err != nil {
 				return err
 			}
 			for r := 0; r < p; r++ {

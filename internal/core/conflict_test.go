@@ -35,7 +35,7 @@ func TestStridedGroupConflictMatchesModel(t *testing.T) {
 				mach := m
 				c.Machine = &mach
 				s := model.BucketShape(group.Linear(tc.size))
-				return Collect(c, s, nil, counts, 1)
+				return c.Run(Buffers{})(BuildCollect(c, s, counts, 1))
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -72,7 +72,7 @@ func TestStridedGroupsWithExcess(t *testing.T) {
 				c := Ctx{EP: ep, Members: members, Me: group.Index(members, ep.Rank()), Coll: 1}
 				mach := m
 				c.Machine = &mach
-				return Collect(c, model.BucketShape(group.Linear(size)), nil, counts, 1)
+				return c.Run(Buffers{})(BuildCollect(c, model.BucketShape(group.Linear(size)), counts, 1))
 			})
 		if err != nil {
 			t.Fatal(err)

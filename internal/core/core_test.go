@@ -68,7 +68,7 @@ func TestBcastAllShapes(t *testing.T) {
 							if c.Me == root {
 								copy(buf, want)
 							}
-							if err := Bcast(c, s, root, buf, count, 1); err != nil {
+							if err := c.Run(Buffers{Buf: buf})(BuildBcast(c, s, root, count, 1)); err != nil {
 								return err
 							}
 							if !bytes.Equal(buf, want) {
@@ -108,7 +108,7 @@ func TestReduceAllShapes(t *testing.T) {
 						buf := make([]byte, count*8)
 						tmp := make([]byte, count*8)
 						datatype.PutInt64s(buf, in)
-						if err := Reduce(c, s, root, buf, tmp, count, datatype.Int64, datatype.Sum); err != nil {
+						if err := c.Run(Buffers{Buf: buf, Tmp: tmp})(BuildReduce(c, s, root, count, datatype.Int64, datatype.Sum)); err != nil {
 							return err
 						}
 						if c.Me == root {
@@ -150,7 +150,7 @@ func TestAllReduceAllShapes(t *testing.T) {
 						buf := make([]byte, count*8)
 						tmp := make([]byte, count*8)
 						datatype.PutInt64s(buf, in)
-						if err := AllReduce(c, s, buf, tmp, count, datatype.Int64, datatype.Sum); err != nil {
+						if err := c.Run(Buffers{Buf: buf, Tmp: tmp})(BuildAllReduce(c, s, count, datatype.Int64, datatype.Sum)); err != nil {
 							return err
 						}
 						got := datatype.Int64s(buf)
@@ -203,7 +203,7 @@ func TestScatterGatherCollectRS(t *testing.T) {
 						if c.Me == root {
 							copy(buf, full)
 						}
-						if err := Scatter(c, s, root, buf, counts, 1); err != nil {
+						if err := c.Run(Buffers{Buf: buf})(BuildScatter(c, s, root, counts, 1)); err != nil {
 							return err
 						}
 						seg := buf[offs[c.Me]:offs[c.Me+1]]
@@ -223,7 +223,7 @@ func TestScatterGatherCollectRS(t *testing.T) {
 					runWorld(t, p, func(c Ctx) error {
 						buf := make([]byte, total)
 						fill(buf[offs[c.Me]:offs[c.Me+1]], c.Me)
-						if err := Gather(c, s, root, buf, counts, 1); err != nil {
+						if err := c.Run(Buffers{Buf: buf})(BuildGather(c, s, root, counts, 1)); err != nil {
 							return err
 						}
 						if c.Me == root && !bytes.Equal(buf, want) {
@@ -241,7 +241,7 @@ func TestScatterGatherCollectRS(t *testing.T) {
 					runWorld(t, p, func(c Ctx) error {
 						buf := make([]byte, total)
 						fill(buf[offs[c.Me]:offs[c.Me+1]], c.Me)
-						if err := Collect(c, s, buf, counts, 1); err != nil {
+						if err := c.Run(Buffers{Buf: buf})(BuildCollect(c, s, counts, 1)); err != nil {
 							return err
 						}
 						if !bytes.Equal(buf, want) {
@@ -267,7 +267,7 @@ func TestScatterGatherCollectRS(t *testing.T) {
 						buf := make([]byte, total*4)
 						tmp := make([]byte, total*4)
 						datatype.PutInt32s(buf, in)
-						if err := ReduceScatter(c, s, buf, tmp, counts, datatype.Int32, datatype.Sum); err != nil {
+						if err := c.Run(Buffers{Buf: buf, Tmp: tmp})(BuildReduceScatter(c, s, counts, datatype.Int32, datatype.Sum)); err != nil {
 							return err
 						}
 						got := datatype.Int32s(buf[offs[c.Me]*4 : offs[c.Me+1]*4])
@@ -305,7 +305,7 @@ func TestMeshShapesCorrect(t *testing.T) {
 					if c.Me == 2 {
 						copy(buf, want)
 					}
-					if err := Bcast(c, s, 2, buf, count, 1); err != nil {
+					if err := c.Run(Buffers{Buf: buf})(BuildBcast(c, s, 2, count, 1)); err != nil {
 						return err
 					}
 					if !bytes.Equal(buf, want) {
@@ -319,7 +319,7 @@ func TestMeshShapesCorrect(t *testing.T) {
 					ab := make([]byte, 80)
 					tb := make([]byte, 80)
 					datatype.PutInt64s(ab, in)
-					if err := AllReduce(c, s, ab, tb, 10, datatype.Int64, datatype.Sum); err != nil {
+					if err := c.Run(Buffers{Buf: ab, Tmp: tb})(BuildAllReduce(c, s, 10, datatype.Int64, datatype.Sum)); err != nil {
 						return err
 					}
 					got := datatype.Int64s(ab)
@@ -337,7 +337,7 @@ func TestMeshShapesCorrect(t *testing.T) {
 					offs := prefixOffsets(counts)
 					cb := make([]byte, offs[p])
 					fill(cb[offs[c.Me]:offs[c.Me+1]], c.Me)
-					if err := Collect(c, s, cb, counts, 1); err != nil {
+					if err := c.Run(Buffers{Buf: cb})(BuildCollect(c, s, counts, 1)); err != nil {
 						return err
 					}
 					for r := 0; r < p; r++ {
@@ -381,7 +381,7 @@ func TestGroupCollectives(t *testing.T) {
 		if me == 0 {
 			copy(buf, want)
 		}
-		if err := Bcast(g, s, 0, buf, 16, 1); err != nil {
+		if err := g.Run(Buffers{Buf: buf})(BuildBcast(g, s, 0, 16, 1)); err != nil {
 			return err
 		}
 		if !bytes.Equal(buf, want) {
@@ -396,7 +396,7 @@ func TestGroupCollectives(t *testing.T) {
 		ab := make([]byte, 48)
 		tb := make([]byte, 48)
 		datatype.PutInt64s(ab, in)
-		if err := AllReduce(g, long, ab, tb, 6, datatype.Int64, datatype.Sum); err != nil {
+		if err := g.Run(Buffers{Buf: ab, Tmp: tb})(BuildAllReduce(g, long, 6, datatype.Int64, datatype.Sum)); err != nil {
 			return err
 		}
 		got := datatype.Int64s(ab)
@@ -474,7 +474,7 @@ func TestAllOpsAllTypes(t *testing.T) {
 					buf := make([]byte, count*es)
 					tmp := make([]byte, count*es)
 					encode(buf, c.Me)
-					if err := AllReduce(c, s, buf, tmp, count, dt, op); err != nil {
+					if err := c.Run(Buffers{Buf: buf, Tmp: tmp})(BuildAllReduce(c, s, count, dt, op)); err != nil {
 						return err
 					}
 					for i := 0; i < count; i++ {
@@ -497,31 +497,31 @@ func TestAllOpsAllTypes(t *testing.T) {
 func TestValidation(t *testing.T) {
 	runWorld(t, 2, func(c Ctx) error {
 		s := model.MSTShape(group.Linear(2))
-		if err := Bcast(c, s, 5, make([]byte, 4), 4, 1); err == nil {
+		if err := c.Run(Buffers{Buf: make([]byte, 4)})(BuildBcast(c, s, 5, 4, 1)); err == nil {
 			return fmt.Errorf("bad root accepted")
 		}
-		if err := Bcast(c, s, 0, make([]byte, 1), 4, 1); err == nil {
+		if err := c.Run(Buffers{Buf: make([]byte, 1)})(BuildBcast(c, s, 0, 4, 1)); err == nil {
 			return fmt.Errorf("short buffer accepted")
 		}
 		bad := model.Shape{Dims: []model.Dim{{Size: 3, Stride: 1, Conflict: 1}}}
-		if err := Bcast(c, bad, 0, make([]byte, 4), 4, 1); err == nil {
+		if err := c.Run(Buffers{Buf: make([]byte, 4)})(BuildBcast(c, bad, 0, 4, 1)); err == nil {
 			return fmt.Errorf("mismatched shape accepted")
 		}
-		if err := Scatter(c, s, 0, make([]byte, 8), []int{4}, 1); err == nil {
+		if err := c.Run(Buffers{Buf: make([]byte, 8)})(BuildScatter(c, s, 0, []int{4}, 1)); err == nil {
 			return fmt.Errorf("short counts accepted")
 		}
-		if err := Scatter(c, s, 0, make([]byte, 8), []int{4, -1}, 1); err == nil {
+		if err := c.Run(Buffers{Buf: make([]byte, 8)})(BuildScatter(c, s, 0, []int{4, -1}, 1)); err == nil {
 			return fmt.Errorf("negative count accepted")
 		}
 		// p=1 group degenerate cases must all work.
 		solo := Ctx{EP: c.EP, Members: []int{c.EP.Rank()}, Me: 0, Coll: 3}
 		s1 := model.MSTShape(group.Linear(1))
 		buf := []byte{1, 2, 3, 4}
-		if err := Bcast(solo, s1, 0, buf, 4, 1); err != nil {
+		if err := solo.Run(Buffers{Buf: buf})(BuildBcast(solo, s1, 0, 4, 1)); err != nil {
 			return fmt.Errorf("p=1 bcast: %w", err)
 		}
 		tmp := make([]byte, 4)
-		if err := AllReduce(solo, s1, buf, tmp, 1, datatype.Int32, datatype.Sum); err != nil {
+		if err := solo.Run(Buffers{Buf: buf, Tmp: tmp})(BuildAllReduce(solo, s1, 1, datatype.Int32, datatype.Sum)); err != nil {
 			return fmt.Errorf("p=1 allreduce: %w", err)
 		}
 		return nil

@@ -8,29 +8,50 @@
 // transport ranks giving the logical-to-physical mapping (§9) — so the same
 // code serves whole-machine collectives, row/column collectives inside a
 // hybrid stage, and user-defined group collectives.
+//
+// The algorithms are plan builders: they never touch a transport. Each one
+// appends the sends, receives, combines and copies this node performs to the
+// plan under construction, addressing data as spans of the plan's buffer
+// spaces; Plan.Execute (plan.go) is the one place steps meet an endpoint.
 package core
 
 import (
-	"fmt"
-
-	"repro/internal/datatype"
 	"repro/internal/model"
 	"repro/internal/transport"
 )
 
-// env is the execution context of one collective invocation on one group:
-// the transport endpoint, the group's member list and this node's logical
-// index in it, the tag namespace for the invocation, and the machine
-// parameters used to charge γ and per-stage software overheads in
-// simulation.
+// span names n bytes at offset off of one of a plan's buffer spaces — what
+// the builders pass where an executing algorithm would pass a []byte, so
+// building a plan costs the same whatever the payload size.
+type span struct {
+	space  space
+	off, n int
+}
+
+// sub is s[lo:hi].
+func (s span) sub(lo, hi int) span { return span{s.space, s.off + lo, hi - lo} }
+
+func (s span) ref() bufRef {
+	if s.n == 0 {
+		return bufRef{space: spaceNone}
+	}
+	return bufRef{space: s.space, off: s.off}
+}
+
+// prog is the plan under construction: the steps emitted so far and the
+// scratch arena handed out. Every env of one build shares it.
+type prog struct {
+	steps      []step
+	scratchLen int
+}
+
+// env is the builder's view of one group: the group's member list and this
+// node's logical index in it, the tag namespace of the invocation, and the
+// plan the group's steps go to.
 type env struct {
-	ep      transport.Endpoint
 	members []int // members[i] = transport rank of logical node i
 	me      int   // my logical index
 	coll    uint32
-	carry   bool // endpoint transports payload bytes
-	mach    model.Machine
-	hasMach bool
 	// phaseOff offsets every phase this env emits, so that the stages of a
 	// hierarchical collective — each of which runs a complete flat
 	// collective with its own phase numbering — occupy disjoint tag ranges.
@@ -39,12 +60,7 @@ type env struct {
 	// all-reduce, forcing the reduce/broadcast fallback (for comparison
 	// sweeps).
 	unstriped bool
-	// rec, when non-nil, switches the env into plan-recording mode: every
-	// send, receive, combine, copy and allocation is captured as a Plan
-	// step instead of being executed. The algorithms above this layer are
-	// data-oblivious, so the recorded control flow is the one execution
-	// will follow.
-	rec *planRec
+	out       *prog
 }
 
 func (e *env) p() int { return len(e.members) }
@@ -54,152 +70,69 @@ func (e *env) tag(phase uint32, step int) transport.Tag {
 	return transport.Compose(e.coll, e.phaseOff+phase, uint32(step))
 }
 
-// send transmits n bytes of p (which may be nil in timing-only mode) to
-// logical node to.
-func (e *env) send(to int, tag transport.Tag, p []byte, n int) error {
-	rank := e.members[to]
-	if e.rec != nil {
-		e.rec.add(step{op: opSend, peer: rank, tag: tag, a: e.rec.ref(p), n: n})
-		return nil
-	}
-	if e.carry {
-		return e.fail(e.ep.Send(rank, tag, p[:n]))
-	}
-	if ss, ok := e.ep.(transport.SizeSender); ok {
-		return e.fail(ss.SendSize(rank, tag, n))
-	}
-	return e.fail(e.ep.Send(rank, tag, make([]byte, n)))
+func (e *env) emit(st step) { e.out.steps = append(e.out.steps, st) }
+
+// send transmits s to logical node to.
+func (e *env) send(to int, tag transport.Tag, s span) {
+	e.emit(step{op: opSend, peer: e.members[to], tag: tag, a: s.ref(), n: s.n})
 }
 
-// fail converts a failed collective step into a world abort (see
-// transport.AbortOnError): the peers blocked on this rank's contribution
-// return promptly instead of waiting out their receive timeouts. The error
-// is returned unchanged.
-func (e *env) fail(err error) error {
-	if err == nil {
-		return nil
-	}
-	return transport.AbortOnError(e.ep, err)
+// recv receives exactly r.n bytes from logical node from into r.
+func (e *env) recv(from int, tag transport.Tag, r span) {
+	e.emit(step{op: opRecv, peer: e.members[from], tag: tag, a: r.ref(), n: r.n})
 }
 
-// recv receives exactly n bytes from logical node from into p.
-func (e *env) recv(from int, tag transport.Tag, p []byte, n int) error {
-	rank := e.members[from]
-	if e.rec != nil {
-		e.rec.add(step{op: opRecv, peer: rank, tag: tag, a: e.rec.ref(p), n: n})
-		return nil
-	}
-	var got int
-	var err error
-	if e.carry {
-		got, err = e.ep.Recv(rank, tag, p[:n])
-	} else if ss, ok := e.ep.(transport.SizeSender); ok {
-		got, err = ss.RecvSize(rank, tag, n)
-	} else {
-		got, err = e.ep.Recv(rank, tag, make([]byte, n))
-	}
-	if err != nil {
-		return e.fail(err)
-	}
-	if got != n {
-		return e.fail(fmt.Errorf("%w: core: logical %d received %d bytes from %d, want %d (tag %#x)", transport.ErrTruncate, e.me, got, from, n, uint32(tag)))
-	}
-	return nil
+// sendRecv simultaneously sends s to logical node to and receives r from
+// logical node from.
+func (e *env) sendRecv(to int, stag transport.Tag, s span, from int, rtag transport.Tag, r span) {
+	e.emit(step{
+		op:   opSendRecv,
+		peer: e.members[to], tag: stag, a: s.ref(), n: s.n,
+		peer2: e.members[from], tag2: rtag, b: r.ref(), n2: r.n,
+	})
 }
 
-// sendRecv simultaneously sends sn bytes of sp to logical node to and
-// receives rn bytes from logical node from into rp.
-func (e *env) sendRecv(to int, stag transport.Tag, sp []byte, sn int, from int, rtag transport.Tag, rp []byte, rn int) error {
-	toRank, fromRank := e.members[to], e.members[from]
-	if e.rec != nil {
-		e.rec.add(step{
-			op:   opSendRecv,
-			peer: toRank, tag: stag, a: e.rec.ref(sp), n: sn,
-			peer2: fromRank, tag2: rtag, b: e.rec.ref(rp), n2: rn,
-		})
-		return nil
-	}
-	var got int
-	var err error
-	if e.carry {
-		got, err = e.ep.SendRecv(toRank, stag, sp[:sn], fromRank, rtag, rp[:rn])
-	} else if ss, ok := e.ep.(transport.SizeSender); ok {
-		got, err = ss.SendRecvSize(toRank, stag, sn, fromRank, rtag, rn)
-	} else {
-		got, err = e.ep.SendRecv(toRank, stag, make([]byte, sn), fromRank, rtag, make([]byte, rn))
-	}
-	if err != nil {
-		return e.fail(err)
-	}
-	if got != rn {
-		return e.fail(fmt.Errorf("%w: core: logical %d received %d bytes from %d, want %d (tag %#x)", transport.ErrTruncate, e.me, got, from, rn, uint32(rtag)))
-	}
-	return nil
+// alloc carves n bytes from the plan's scratch arena.
+func (e *env) alloc(n int) span {
+	s := span{spaceScratch, e.out.scratchLen, n}
+	e.out.scratchLen += n
+	return s
 }
 
-// alloc returns an n-byte scratch buffer, or nil in timing-only mode. In
-// recording mode the buffer is carved from the plan's scratch arena.
-func (e *env) alloc(n int) []byte {
-	if e.rec != nil {
-		return e.rec.alloc(n)
-	}
-	if !e.carry {
-		return nil
-	}
-	return make([]byte, n)
-}
-
-// copyb copies src into dst in carrying mode; it is free in the model, so
-// no time is charged (the paper's algorithms are arranged so data lands in
-// place).
-func (e *env) copyb(dst, src []byte) {
-	if e.rec != nil {
-		n := len(dst)
-		if len(src) < n {
-			n = len(src)
-		}
-		if n > 0 {
-			e.rec.add(step{op: opCopy, a: e.rec.ref(dst), b: e.rec.ref(src), n: n})
-		}
+// copyb copies src into dst; it is free in the model, so no time is charged
+// (the paper's algorithms are arranged so data lands in place). A copy that
+// continues the previous one — both ranges adjacent to its — extends that
+// step instead of adding one, provided the grown ranges stay disjoint (a
+// second copy may read what the first wrote): the block-by-block packing
+// loops of the complete exchange emit mostly such runs.
+func (e *env) copyb(dst, src span) {
+	n := min(dst.n, src.n)
+	if n == 0 {
 		return
 	}
-	if e.carry {
-		copy(dst, src)
-	}
-}
-
-// combine applies dst ⊕= src over n bytes of elements and charges nγ of
-// virtual compute time.
-func (e *env) combine(dt datatype.Type, op datatype.Op, dst, src []byte, n int) error {
-	if e.rec != nil {
-		e.rec.add(step{op: opCombine, a: e.rec.ref(dst), b: e.rec.ref(src), n: n})
-		return nil
-	}
-	if e.carry {
-		if err := datatype.Apply(dt, op, dst[:n], src[:n]); err != nil {
-			return e.fail(err)
+	if k := len(e.out.steps) - 1; k >= 0 {
+		last := &e.out.steps[k]
+		if last.op == opCopy && last.a == (bufRef{dst.space, dst.off - last.n}) && last.b == (bufRef{src.space, src.off - last.n}) &&
+			(dst.space != src.space || dst.off+n <= last.b.off || src.off+n <= last.a.off) {
+			last.n += n
+			return
 		}
 	}
-	if e.hasMach {
-		transport.Elapse(e.ep, float64(n)*e.mach.Gamma)
-	}
-	return nil
+	e.emit(step{op: opCopy, a: dst.ref(), b: src.ref(), n: n})
+}
+
+// combine applies dst ⊕= src over src.n bytes of elements, charging nγ of
+// virtual compute time.
+func (e *env) combine(dst, src span) {
+	e.emit(step{op: opCombine, a: dst.ref(), b: src.ref(), n: src.n})
 }
 
 // stepOverhead charges the per-recursion-level software cost of the
 // short-vector primitives (§7.2: "recursive function calls, which carry a
-// measurable overhead") when a machine model is attached. The MST
-// primitives call it once per tree level a node engages in; the flat
-// bucket loops do not pay it, matching the cost model.
-func (e *env) stepOverhead() {
-	if e.rec != nil {
-		e.rec.add(step{op: opElapse})
-		return
-	}
-	if e.hasMach && e.mach.StepOverhead > 0 {
-		transport.Elapse(e.ep, e.mach.StepOverhead)
-	}
-}
+// measurable overhead"). The MST primitives call it once per tree level a
+// node engages in; the flat bucket loops do not pay it, matching the cost
+// model.
+func (e *env) stepOverhead() { e.emit(step{op: opElapse}) }
 
 // dimEnv restricts the environment to this node's group in logical
 // dimension d of shape s: the members sharing every other coordinate. The
@@ -212,9 +145,7 @@ func (e *env) dimEnv(d model.Dim) env {
 	for t := 0; t < d.Size; t++ {
 		members[t] = e.members[base+t*d.Stride]
 	}
-	return env{
-		ep: e.ep, members: members, me: x,
-		coll: e.coll, carry: e.carry, mach: e.mach, hasMach: e.hasMach,
-		phaseOff: e.phaseOff, unstriped: e.unstriped, rec: e.rec,
-	}
+	sub := *e
+	sub.members, sub.me = members, x
+	return sub
 }

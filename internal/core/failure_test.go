@@ -47,7 +47,7 @@ func TestSendFailurePropagates(t *testing.T) {
 						c := Ctx{EP: inj.Wrap(ep), Members: group.Identity(p), Me: ep.Rank(), Coll: 1}
 						buf := make([]byte, count)
 						tmp := make([]byte, count)
-						errs <- AllReduce(c, s, buf, tmp, count, datatype.Uint8, datatype.Sum)
+						errs <- c.Run(Buffers{Buf: buf, Tmp: tmp})(BuildAllReduce(c, s, count, datatype.Uint8, datatype.Sum))
 						return nil
 					})
 				}()
@@ -86,7 +86,7 @@ func TestZeroBudgetEverythingFails(t *testing.T) {
 	s := model.MSTShape(group.Linear(p))
 	err := w.Run(func(ep *chantransport.Endpoint) error {
 		c := Ctx{EP: inj.Wrap(ep), Members: group.Identity(p), Me: ep.Rank(), Coll: 1}
-		if err := Bcast(c, s, 0, make([]byte, 8), 8, 1); err == nil {
+		if err := c.Run(Buffers{Buf: make([]byte, 8)})(BuildBcast(c, s, 0, 8, 1)); err == nil {
 			return fmt.Errorf("rank %d broadcast succeeded with zero budget", ep.Rank())
 		}
 		return nil
@@ -117,7 +117,7 @@ func TestFailStopAbortsPeers(t *testing.T) {
 				c := Ctx{EP: inj.Wrap(ep), Members: group.Identity(p), Me: ep.Rank(), Coll: 1}
 				buf := make([]byte, count)
 				tmp := make([]byte, count)
-				rankErrs[ep.Rank()] = AllReduce(c, s, buf, tmp, count, datatype.Uint8, datatype.Sum)
+				rankErrs[ep.Rank()] = c.Run(Buffers{Buf: buf, Tmp: tmp})(BuildAllReduce(c, s, count, datatype.Uint8, datatype.Sum))
 				return nil
 			})
 			if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -205,7 +205,7 @@ func TestDisarmedInjectorIsTransparent(t *testing.T) {
 		for i := range buf {
 			buf[i] = 1
 		}
-		if err := AllReduce(c, s, buf, tmp, count, datatype.Uint8, datatype.Sum); err != nil {
+		if err := c.Run(Buffers{Buf: buf, Tmp: tmp})(BuildAllReduce(c, s, count, datatype.Uint8, datatype.Sum)); err != nil {
 			return err
 		}
 		for i, v := range buf {

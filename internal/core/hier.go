@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/datatype"
 	"repro/internal/group"
 	"repro/internal/model"
 )
@@ -14,7 +12,7 @@ import (
 // same blocks recursively over a nested partition (rack → node → socket):
 // an intra phase runs inside each deepest block, leader phases ascend one
 // level at a time, and redistribution descends. Each phase is a complete
-// flat collective over a sub-group, executed by the existing hybrid
+// flat collective over a sub-group, built by the existing hybrid
 // machinery, so the short/long/hybrid menu of §4–§6 is reused per level
 // rather than reimplemented. The two-level (cluster) schedule is exactly
 // the depth-1 case.
@@ -25,7 +23,7 @@ import (
 // which requires the topology's depth-first member order to be the
 // identity; other placements run the recursion over a canonically
 // relabeled group — all-reduce and all-to-all by pure relabeling, collect
-// and reduce-scatter through a pack/unpack detour into pooled scratch.
+// and reduce-scatter through a pack/unpack detour into plan scratch.
 
 // hierStagePhases is the tag-phase stride between the stages of one
 // hierarchy level, so each stage's inner flat collective gets a disjoint
@@ -92,17 +90,9 @@ func subEnv(e *env, idxs []int, phaseOff uint32) (env, bool) {
 			me = t
 		}
 	}
-	return env{
-		ep: e.ep, members: members, me: me,
-		coll: e.coll, carry: e.carry, mach: e.mach, hasMach: e.hasMach,
-		unstriped: e.unstriped,
-		phaseOff:  e.phaseOff + phaseOff, rec: e.rec,
-	}, me >= 0
-}
-
-// flatShape is the linear-array MST shape of a p-node group.
-func flatShape(p int) model.Shape {
-	return model.Shape{Dims: []model.Dim{{Size: p, Stride: 1, Conflict: 1}}, ShortFrom: 0}
+	sub := *e
+	sub.members, sub.me, sub.phaseOff = members, me, e.phaseOff+phaseOff
+	return sub, me >= 0
 }
 
 // linShape views q nodes as one logical dimension; shortFrom 0 selects the
@@ -191,30 +181,6 @@ func canonTopology(t group.Topology, ord []int) group.Topology {
 	return ct
 }
 
-// detourPool recycles the pack/unpack detour buffers of the hierarchical
-// collectives (pMR-style reuse), so deep hierarchies allocate O(1) per
-// phase in steady state instead of paying GC tax for every level.
-var detourPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// detour returns an n-byte scratch buffer and its release function. The
-// buffer is pooled and NOT zeroed — callers write every region before
-// reading it. In recording mode the buffer is carved from the plan's
-// scratch arena and never recycled (plan steps alias it); in timing-only
-// mode it is nil, like alloc.
-func (e *env) detour(n int) ([]byte, func()) {
-	if e.rec != nil {
-		return e.rec.alloc(n), func() {}
-	}
-	if !e.carry {
-		return nil, func() {}
-	}
-	bp := detourPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	return (*bp)[:n], func() { detourPool.Put(bp) }
-}
-
 // contigOffs re-slices a group's absolute offsets to a contiguous member
 // run — valid only after canonicalization.
 func contigOffs(offs []int, mem []int) []int {
@@ -232,15 +198,11 @@ func clusterOffs(cl group.Cluster, offs []int) []int {
 	return lo
 }
 
-// hierBcast broadcasts from root over the topology: a leader-level
+// bcastTree broadcasts from root over the topology: a leader-level
 // broadcast among block representatives descends into a recursive
 // broadcast inside each block. Whole vectors move, so any placement runs
 // in place.
-func hierBcast(e *env, t group.Topology, ms machs, root int, buf []byte, count, es int) error {
-	return bcastTree(e, &t, ms, 0, root, buf, count, es)
-}
-
-func bcastTree(e *env, t *group.Topology, ms machs, lvl, root int, buf []byte, count, es int) error {
+func bcastTree(e *env, t *group.Topology, ms machs, lvl, root int, buf span, count, es int) error {
 	n := count * es
 	if t == nil {
 		s := phaseShape(ms.at(lvl), model.Bcast, e.p(), n)
@@ -263,18 +225,14 @@ func bcastTree(e *env, t *group.Topology, ms machs, lvl, root int, buf []byte, c
 	return nil
 }
 
-// hierReduce combines every contribution at root: recursive combines
+// reduceTree combines every contribution at root: recursive combines
 // ascend to block representatives, then a leader-level combine lands at
 // root.
-func hierReduce(e *env, t group.Topology, ms machs, root int, buf, tmp []byte, count, es int, dt datatype.Type, op datatype.Op) error {
-	return reduceTree(e, &t, ms, 0, root, buf, tmp, count, es, dt, op)
-}
-
-func reduceTree(e *env, t *group.Topology, ms machs, lvl, root int, buf, tmp []byte, count, es int, dt datatype.Type, op datatype.Op) error {
+func reduceTree(e *env, t *group.Topology, ms machs, lvl, root int, buf, tmp span, count, es int) error {
 	n := count * es
 	if t == nil {
 		s := phaseShape(ms.at(lvl), model.Reduce, e.p(), n)
-		return hybridReduce(e, s, root, buf, tmp, count, es, dt, op)
+		return hybridReduce(e, s, root, buf, tmp, count, es)
 	}
 	cl := t.Top()
 	rp := reps(cl, root)
@@ -282,13 +240,13 @@ func reduceTree(e *env, t *group.Topology, ms machs, lvl, root int, buf, tmp []b
 	mem := cl.Members(myC)
 	if len(mem) > 1 {
 		se, _ := subEnv(e, mem, hierLevelPhases)
-		if err := reduceTree(&se, subTopo(t, myC), ms, lvl+1, indexOf(mem, rp[myC]), buf, tmp, count, es, dt, op); err != nil {
+		if err := reduceTree(&se, subTopo(t, myC), ms, lvl+1, indexOf(mem, rp[myC]), buf, tmp, count, es); err != nil {
 			return err
 		}
 	}
 	if sub, ok := subEnv(e, rp, 0); ok {
 		s := phaseShape(ms.at(lvl), model.Reduce, cl.K(), n)
-		if err := hybridReduce(&sub, s, cl.Of(root), buf, tmp, count, es, dt, op); err != nil {
+		if err := hybridReduce(&sub, s, cl.Of(root), buf, tmp, count, es); err != nil {
 			return err
 		}
 	}
@@ -304,20 +262,20 @@ func reduceTree(e *env, t *group.Topology, ms machs, lvl, root int, buf, tmp []b
 // fall back to reduce-to-representative, leader all-reduce, broadcast.
 // All-reduce is symmetric, so non-contiguous placements are handled by
 // pure relabeling along the topology's depth-first order.
-func hierAllReduce(e *env, t group.Topology, ms machs, buf, tmp []byte, count, es int, dt datatype.Type, op datatype.Op) error {
+func hierAllReduce(e *env, t group.Topology, ms machs, buf, tmp span, count, es int) error {
 	if ord := t.RecOrder(); !isIdentity(ord) {
 		ce, _ := subEnv(e, ord, 0)
 		ct := canonTopology(t, ord)
-		return allReduceTree(&ce, &ct, ms, 0, buf, tmp, count, es, dt, op)
+		return allReduceTree(&ce, &ct, ms, 0, buf, tmp, count, es)
 	}
-	return allReduceTree(e, &t, ms, 0, buf, tmp, count, es, dt, op)
+	return allReduceTree(e, &t, ms, 0, buf, tmp, count, es)
 }
 
-func allReduceTree(e *env, t *group.Topology, ms machs, lvl int, buf, tmp []byte, count, es int, dt datatype.Type, op datatype.Op) error {
+func allReduceTree(e *env, t *group.Topology, ms machs, lvl int, buf, tmp span, count, es int) error {
 	n := count * es
 	if t == nil {
 		s := phaseShape(ms.at(lvl), model.AllReduce, e.p(), n)
-		return hybridAllReduce(e, s, buf, tmp, count, es, dt, op)
+		return hybridAllReduce(e, s, buf, tmp, count, es)
 	}
 	cl := t.Top()
 	K := cl.K()
@@ -344,7 +302,7 @@ func allReduceTree(e *env, t *group.Topology, ms machs, lvl int, buf, tmp []byte
 		}
 		myPos := indexOf(mem, e.me)
 		se, _ := subEnv(e, mem, hierLevelPhases)
-		if err := rsTree(&se, subTopo(t, myC), ms, lvl+1, offs, buf, tmp, dt, op); err != nil {
+		if err := rsTree(&se, subTopo(t, myC), ms, lvl+1, offs, buf, tmp, es); err != nil {
 			return err
 		}
 		if cnts[myPos] > 0 {
@@ -360,9 +318,8 @@ func allReduceTree(e *env, t *group.Topology, ms machs, lvl int, buf, tmp []byte
 			// Hierarchy.allReduceTree).
 			s := phaseShape(ms.at(lvl), model.AllReduce, K, n)
 			if err := hybridAllReduce(&pe, s,
-				sliceRange(e, buf, offs[myPos], offs[myPos+1]),
-				sliceRange(e, tmp, offs[myPos], offs[myPos+1]),
-				cnts[myPos], es, dt, op); err != nil {
+				buf.sub(offs[myPos], offs[myPos+1]), tmp.sub(offs[myPos], offs[myPos+1]),
+				cnts[myPos], es); err != nil {
 				return err
 			}
 		}
@@ -373,13 +330,13 @@ func allReduceTree(e *env, t *group.Topology, ms machs, lvl int, buf, tmp []byte
 	// broadcast back down.
 	if len(mem) > 1 {
 		se, _ := subEnv(e, mem, hierLevelPhases)
-		if err := reduceTree(&se, subTopo(t, myC), ms, lvl+1, 0, buf, tmp, count, es, dt, op); err != nil {
+		if err := reduceTree(&se, subTopo(t, myC), ms, lvl+1, 0, buf, tmp, count, es); err != nil {
 			return err
 		}
 	}
 	if lsub, ok := subEnv(e, cl.Leaders(), hierStagePhases); ok {
 		s := phaseShape(ms.at(lvl), model.AllReduce, K, n)
-		if err := hybridAllReduce(&lsub, s, buf, tmp, count, es, dt, op); err != nil {
+		if err := hybridAllReduce(&lsub, s, buf, tmp, count, es); err != nil {
 			return err
 		}
 	}
@@ -390,43 +347,43 @@ func allReduceTree(e *env, t *group.Topology, ms machs, lvl int, buf, tmp []byte
 	return nil
 }
 
+// canonOffs returns the byte offsets of the segments reordered so that
+// position j holds original index ord[j]'s segment.
+func canonOffs(offs, ord []int) []int {
+	coffs := make([]int, len(offs))
+	for j, o := range ord {
+		coffs[j+1] = coffs[j] + offs[o+1] - offs[o]
+	}
+	return coffs
+}
+
 // hierCollect assembles every node's segment on all nodes: recursive
 // gathers assemble each block's range at its leader, leaders collect the
 // block ranges, and the whole vector broadcasts back down inside each
-// block. Non-contiguous placements pack into canonically ordered pooled
-// scratch, run the contiguous recursion, and unpack.
-func hierCollect(e *env, t group.Topology, ms machs, offs []int, buf []byte) error {
+// block. Non-contiguous placements pack into canonically ordered scratch,
+// run the contiguous recursion, and unpack.
+func hierCollect(e *env, t group.Topology, ms machs, offs []int, buf span) error {
 	ord := t.RecOrder()
 	if isIdentity(ord) {
 		return collectTree(e, &t, ms, 0, offs, buf)
 	}
 	ce, _ := subEnv(e, ord, 0)
 	ct := canonTopology(t, ord)
-	total := offs[len(offs)-1]
-	coffs := make([]int, len(offs))
-	for j, o := range ord {
-		coffs[j+1] = coffs[j] + offs[o+1] - offs[o]
-	}
-	scratch, release := e.detour(total)
-	defer release()
-	if e.carry {
-		j := ce.me
-		e.copyb(scratch[coffs[j]:coffs[j+1]], buf[offs[e.me]:offs[e.me+1]])
-	}
+	coffs := canonOffs(offs, ord)
+	scratch := e.alloc(buf.n)
+	e.copyb(scratch.sub(coffs[ce.me], coffs[ce.me+1]), buf.sub(offs[e.me], offs[e.me+1]))
 	if err := collectTree(&ce, &ct, ms, 0, coffs, scratch); err != nil {
 		return err
 	}
-	if e.carry {
-		for j, o := range ord {
-			e.copyb(buf[offs[o]:offs[o+1]], scratch[coffs[j]:coffs[j+1]])
-		}
+	for j, o := range ord {
+		e.copyb(buf.sub(offs[o], offs[o+1]), scratch.sub(coffs[j], coffs[j+1]))
 	}
 	return nil
 }
 
 // collectTree assumes canonical (recursively contiguous) positions and
 // offs[0] == 0: offs[j] is member j's absolute byte offset into buf.
-func collectTree(e *env, t *group.Topology, ms machs, lvl int, offs []int, buf []byte) error {
+func collectTree(e *env, t *group.Topology, ms machs, lvl int, offs []int, buf span) error {
 	total := offs[len(offs)-1]
 	if t == nil {
 		s := phaseShape(ms.at(lvl), model.Collect, e.p(), total)
@@ -437,9 +394,7 @@ func collectTree(e *env, t *group.Topology, ms machs, lvl int, offs []int, buf [
 	mem := cl.Members(myC)
 	if len(mem) > 1 {
 		se, _ := subEnv(e, mem, hierLevelPhases)
-		if err := gatherRec(&se, subTopo(t, myC), contigOffs(offs, mem), buf); err != nil {
-			return err
-		}
+		gatherRec(&se, subTopo(t, myC), contigOffs(offs, mem), buf)
 	}
 	if e.me == mem[0] && cl.K() > 1 {
 		lsub, _ := subEnv(e, cl.Leaders(), hierStagePhases)
@@ -460,62 +415,51 @@ func collectTree(e *env, t *group.Topology, ms machs, lvl int, offs []int, buf [
 // leaders run the distributed combine over block ranges, and recursive
 // scatters descend member segments. Non-contiguous placements go through
 // the same pack detour as collect.
-func hierReduceScatter(e *env, t group.Topology, ms machs, offs []int, buf, tmp []byte, dt datatype.Type, op datatype.Op) error {
+func hierReduceScatter(e *env, t group.Topology, ms machs, offs []int, buf, tmp span, es int) error {
 	ord := t.RecOrder()
 	if isIdentity(ord) {
-		return rsTree(e, &t, ms, 0, offs, buf, tmp, dt, op)
+		return rsTree(e, &t, ms, 0, offs, buf, tmp, es)
 	}
 	ce, _ := subEnv(e, ord, 0)
 	ct := canonTopology(t, ord)
-	total := offs[len(offs)-1]
-	coffs := make([]int, len(offs))
+	coffs := canonOffs(offs, ord)
+	scratch := e.alloc(buf.n)
 	for j, o := range ord {
-		coffs[j+1] = coffs[j] + offs[o+1] - offs[o]
+		e.copyb(scratch.sub(coffs[j], coffs[j+1]), buf.sub(offs[o], offs[o+1]))
 	}
-	scratch, release := e.detour(total)
-	defer release()
-	if e.carry {
-		for j, o := range ord {
-			e.copyb(scratch[coffs[j]:coffs[j+1]], buf[offs[o]:offs[o+1]])
-		}
-	}
-	if err := rsTree(&ce, &ct, ms, 0, coffs, scratch, tmp, dt, op); err != nil {
+	if err := rsTree(&ce, &ct, ms, 0, coffs, scratch, tmp, es); err != nil {
 		return err
 	}
-	if e.carry {
-		j := ce.me
-		e.copyb(buf[offs[e.me]:offs[e.me+1]], scratch[coffs[j]:coffs[j+1]])
-	}
+	e.copyb(buf.sub(offs[e.me], offs[e.me+1]), scratch.sub(coffs[ce.me], coffs[ce.me+1]))
 	return nil
 }
 
 // rsTree assumes canonical positions and offs[0] == 0.
-func rsTree(e *env, t *group.Topology, ms machs, lvl int, offs []int, buf, tmp []byte, dt datatype.Type, op datatype.Op) error {
+func rsTree(e *env, t *group.Topology, ms machs, lvl int, offs []int, buf, tmp span, es int) error {
 	total := offs[len(offs)-1]
-	es := dt.Size()
 	if t == nil {
 		s := phaseShape(ms.at(lvl), model.ReduceScatter, e.p(), total)
-		return hybridReduceScatter(e, s, offs, buf, tmp, dt, op)
+		return hybridReduceScatter(e, s, offs, buf, tmp)
 	}
 	cl := t.Top()
 	myC := cl.Of(e.me)
 	mem := cl.Members(myC)
 	if len(mem) > 1 {
 		se, _ := subEnv(e, mem, hierLevelPhases)
-		if err := reduceTree(&se, subTopo(t, myC), ms, lvl+1, 0, buf, tmp, total/es, es, dt, op); err != nil {
+		if err := reduceTree(&se, subTopo(t, myC), ms, lvl+1, 0, buf, tmp, total/es, es); err != nil {
 			return err
 		}
 	}
 	if e.me == mem[0] && cl.K() > 1 {
 		lsub, _ := subEnv(e, cl.Leaders(), hierStagePhases)
 		s := phaseShape(ms.at(lvl), model.ReduceScatter, cl.K(), total)
-		if err := hybridReduceScatter(&lsub, s, clusterOffs(cl, offs), buf, tmp, dt, op); err != nil {
+		if err := hybridReduceScatter(&lsub, s, clusterOffs(cl, offs), buf, tmp); err != nil {
 			return err
 		}
 	}
 	if len(mem) > 1 {
 		se, _ := subEnv(e, mem, hierLevelPhases)
-		return scatterRec(&se, subTopo(t, myC), contigOffs(offs, mem), buf)
+		scatterRec(&se, subTopo(t, myC), contigOffs(offs, mem), buf)
 	}
 	return nil
 }
@@ -523,44 +467,40 @@ func rsTree(e *env, t *group.Topology, ms machs, lvl int, offs []int, buf, tmp [
 // gatherRec assembles the group's byte range at its first member: gathers
 // recurse inside sub-blocks, then an MST gather runs among sub-leaders.
 // Gather has no short/long choice, so no machine parameters are needed.
-func gatherRec(e *env, t *group.Topology, offs []int, buf []byte) error {
+func gatherRec(e *env, t *group.Topology, offs []int, buf span) {
 	if t == nil {
-		return mstGather(e, 0, 0, offs, buf, 0)
+		mstGather(e, 0, 0, offs, buf)
+		return
 	}
 	cl := t.Top()
 	myC := cl.Of(e.me)
 	mem := cl.Members(myC)
 	if len(mem) > 1 {
 		se, _ := subEnv(e, mem, hierLevelPhases)
-		if err := gatherRec(&se, subTopo(t, myC), contigOffs(offs, mem), buf); err != nil {
-			return err
-		}
+		gatherRec(&se, subTopo(t, myC), contigOffs(offs, mem), buf)
 	}
 	if e.me == mem[0] && cl.K() > 1 {
 		lsub, _ := subEnv(e, cl.Leaders(), 0)
-		return mstGather(&lsub, 0, 0, clusterOffs(cl, offs), buf, 0)
+		mstGather(&lsub, 0, 0, clusterOffs(cl, offs), buf)
 	}
-	return nil
 }
 
 // scatterRec is gatherRec in reverse: sub-leaders receive their block
 // ranges first, then the scatter recurses inside each block.
-func scatterRec(e *env, t *group.Topology, offs []int, buf []byte) error {
+func scatterRec(e *env, t *group.Topology, offs []int, buf span) {
 	if t == nil {
-		return mstScatter(e, 0, 0, offs, buf, 0)
+		mstScatter(e, 0, 0, offs, buf)
+		return
 	}
 	cl := t.Top()
 	myC := cl.Of(e.me)
 	mem := cl.Members(myC)
 	if e.me == mem[0] && cl.K() > 1 {
 		lsub, _ := subEnv(e, cl.Leaders(), 0)
-		if err := mstScatter(&lsub, 0, 0, clusterOffs(cl, offs), buf, 0); err != nil {
-			return err
-		}
+		mstScatter(&lsub, 0, 0, clusterOffs(cl, offs), buf)
 	}
 	if len(mem) > 1 {
 		se, _ := subEnv(e, mem, hierLevelPhases)
-		return scatterRec(&se, subTopo(t, myC), contigOffs(offs, mem), buf)
+		scatterRec(&se, subTopo(t, myC), contigOffs(offs, mem), buf)
 	}
-	return nil
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
+	"repro/internal/datatype"
 	"repro/internal/group"
 	"repro/internal/model"
 )
@@ -15,24 +15,25 @@ import (
 // messages every rank pays under a flat schedule with Θ(K) aggregated
 // messages per leader — and the reassembled results funnel back down.
 //
-// The ragged variant (hierAllToAllv) adds a count-matrix allgather among
-// leaders: no single rank holds the p×p count matrix, so leaders first
-// collect their members' count rows, share them, and only then can both
-// sides of every leader pair agree on the aggregate block sizes.
+// The ragged variant (BuildHierAllToAllv) is the one schedule of the
+// library that depends on data — the per-pair counts of the other ranks —
+// so it is built per call from the p×p count matrix, which the caller
+// first assembles on every rank with an ordinary collect.
 
-// hierAllToAll executes the complete exchange with equal per-pair counts
+// hierAllToAll builds the complete exchange with equal per-pair counts
 // over the topology. Non-contiguous placements are handled by pure
 // relabeling along the depth-first order: the exchange is defined by the
 // partition, not by byte ranges, so only the pack/unpack index arithmetic
 // needs the translation — buffers stay in the original layout.
-func hierAllToAll(e *env, t group.Topology, ms machs, send, recv []byte, count, es int) error {
+func hierAllToAll(e *env, t group.Topology, ms machs, send, recv span, count, es int) {
 	ord := t.RecOrder()
 	if isIdentity(ord) {
-		return allToAllTree(e, &t, ms, 0, nil, send, recv, count, es)
+		allToAllTree(e, &t, ms, 0, nil, send, recv, count, es)
+		return
 	}
 	ce, _ := subEnv(e, ord, 0)
 	ct := canonTopology(t, ord)
-	return allToAllTree(&ce, &ct, ms, 0, ord, send, recv, count, es)
+	allToAllTree(&ce, &ct, ms, 0, ord, send, recv, count, es)
 }
 
 // ordAt translates a canonical position to its original index (nil ord =
@@ -49,7 +50,7 @@ func ordAt(ord []int, j int) int {
 // translates canonical positions back to original indices, because each
 // rank's send and recv vectors remain laid out by original
 // destination/source index.
-func allToAllTree(e *env, t *group.Topology, ms machs, lvl int, ord []int, send, recv []byte, count, es int) error {
+func allToAllTree(e *env, t *group.Topology, ms machs, lvl int, ord []int, send, recv span, count, es int) {
 	p := e.p()
 	blk := count * es
 	n := p * blk
@@ -72,18 +73,14 @@ func allToAllTree(e *env, t *group.Topology, ms machs, lvl int, ord []int, send,
 	// gbuf[j*n:(j+1)*n] is block member j's whole vector, gathered at the
 	// leader; after the leader exchange it is reused to assemble member j's
 	// result vector.
-	var gbuf []byte
-	release := func() {}
+	var gbuf span
 	if e.me == leader {
-		gbuf, release = e.detour(q * n)
+		gbuf = e.alloc(q * n)
 	}
-	defer release()
 
 	// Stage 1: funnel members' vectors to the block leader.
 	se, _ := subEnv(e, mem, hierLevelPhases)
-	if err := upGatherVec(&se, subTopo(t, myC), n, send, gbuf); err != nil {
-		return err
-	}
+	upGatherVec(&se, subTopo(t, myC), n, send, gbuf)
 
 	if e.me == leader {
 		// Stage 2: leaders exchange aggregated block-pair vectors. The
@@ -96,40 +93,31 @@ func allToAllTree(e *env, t *group.Topology, ms machs, lvl int, ord []int, send,
 		for d := 0; d < K; d++ {
 			bOffs[d+1] = bOffs[d] + q*sizes[d]*blk
 		}
-		out, relO := e.detour(q * n)
-		defer relO()
-		in, relI := e.detour(q * n)
-		defer relI()
-		if e.carry {
-			at := 0
-			for d := 0; d < K; d++ {
-				for j := 0; j < q; j++ {
-					for u := start[d]; u < start[d+1]; u++ {
-						o := ordAt(ord, u)
-						e.copyb(out[at:at+blk], gbuf[j*n+o*blk:j*n+(o+1)*blk])
-						at += blk
-					}
+		out, in := e.alloc(q*n), e.alloc(q*n)
+		at := 0
+		for d := 0; d < K; d++ {
+			for j := 0; j < q; j++ {
+				for u := start[d]; u < start[d+1]; u++ {
+					o := ordAt(ord, u)
+					e.copyb(out.sub(at, at+blk), gbuf.sub(j*n+o*blk, j*n+(o+1)*blk))
+					at += blk
 				}
 			}
 		}
 		lsub, _ := subEnv(e, cl.Leaders(), hierStagePhases)
 		if s := phaseShape(ms.at(lvl), model.AllToAll, K, q*n); equal && s.ShortFrom == 0 {
-			if err := bruckAllToAll(&lsub, 0, out, in, q*q*count, es); err != nil {
-				return err
-			}
-		} else if err := pairwiseAllToAll(&lsub, 0, bOffs, bOffs, out, in); err != nil {
-			return err
+			bruckAllToAll(&lsub, 0, out, in, q*q*count, es)
+		} else {
+			pairwiseAllToAll(&lsub, 0, bOffs, bOffs, out, in)
 		}
 		// Reassemble each member's result vector in source order (the self
 		// block came back via the exchange's local copy).
-		if e.carry {
-			for j := 0; j < q; j++ {
-				for d := 0; d < K; d++ {
-					for u := start[d]; u < start[d+1]; u++ {
-						o := ordAt(ord, u)
-						src := bOffs[d] + ((u-start[d])*q+j)*blk
-						e.copyb(gbuf[j*n+o*blk:j*n+(o+1)*blk], in[src:src+blk])
-					}
+		for j := 0; j < q; j++ {
+			for d := 0; d < K; d++ {
+				for u := start[d]; u < start[d+1]; u++ {
+					o := ordAt(ord, u)
+					src := bOffs[d] + ((u-start[d])*q+j)*blk
+					e.copyb(gbuf.sub(j*n+o*blk, j*n+(o+1)*blk), in.sub(src, src+blk))
 				}
 			}
 		}
@@ -137,32 +125,29 @@ func allToAllTree(e *env, t *group.Topology, ms machs, lvl int, ord []int, send,
 
 	// Stage 3: funnel the reassembled vectors back down.
 	se2, _ := subEnv(e, mem, hierLevelPhases)
-	return downScatterVec(&se2, subTopo(t, myC), n, recv, gbuf)
+	downScatterVec(&se2, subTopo(t, myC), n, recv, gbuf)
 }
 
 // upGatherVec funnels every group member's n-byte vector to the group's
 // position-0 member: on return agg[j*n:(j+1)*n] holds member j's vector
-// (depth-first order). Only position 0 passes agg; everyone else passes
-// nil. Sub-aggregates are forwarded whole, one message per block per
-// level — linear at each level, like the leader funnel of the two-level
-// schedule, priced by model.Hierarchy's a2aEdge.
-func upGatherVec(e *env, t *group.Topology, n int, send, agg []byte) error {
+// (depth-first order). Only position 0 passes agg. Sub-aggregates are
+// forwarded whole, one message per block per level — linear at each level,
+// like the leader funnel of the two-level schedule, priced by
+// model.Hierarchy's a2aEdge.
+func upGatherVec(e *env, t *group.Topology, n int, send, agg span) {
 	q := e.p()
 	if t == nil {
 		if e.me != 0 {
 			e.stepOverhead()
-			return e.send(0, e.tag(0, e.me), sliceRange(e, send, 0, n), n)
+			e.send(0, e.tag(0, e.me), send.sub(0, n))
+			return
 		}
-		if e.carry {
-			e.copyb(agg[0:n], send[0:n])
-		}
+		e.copyb(agg.sub(0, n), send.sub(0, n))
 		for j := 1; j < q; j++ {
 			e.stepOverhead()
-			if err := e.recv(j, e.tag(0, j), sliceRange(e, agg, j*n, (j+1)*n), n); err != nil {
-				return err
-			}
+			e.recv(j, e.tag(0, j), agg.sub(j*n, (j+1)*n))
 		}
-		return nil
+		return
 	}
 	cl := t.Top()
 	K := cl.K()
@@ -170,57 +155,45 @@ func upGatherVec(e *env, t *group.Topology, n int, send, agg []byte) error {
 	myC := cl.Of(e.me)
 	mem := cl.Members(myC)
 	se, _ := subEnv(e, mem, hierLevelPhases)
-	if e.me == 0 {
+	switch e.me {
+	case 0:
 		// Top of this level: own block's members occupy agg's first
 		// sizes[0] slots (block 0 is the leading canonical run), then each
 		// sub-leader forwards its block's aggregate.
-		if err := upGatherVec(&se, subTopo(t, 0), n, send, agg); err != nil {
-			return err
-		}
+		upGatherVec(&se, subTopo(t, 0), n, send, agg)
 		at := sizes[0]
 		for d := 1; d < K; d++ {
-			nb := sizes[d] * n
 			e.stepOverhead()
-			if err := e.recv(cl.Members(d)[0], e.tag(0, d), sliceRange(e, agg, at*n, at*n+nb), nb); err != nil {
-				return err
-			}
+			e.recv(cl.Members(d)[0], e.tag(0, d), agg.sub(at*n, (at+sizes[d])*n))
 			at += sizes[d]
 		}
-		return nil
-	}
-	if e.me == mem[0] {
-		sub, rel := e.detour(sizes[myC] * n)
-		defer rel()
-		if err := upGatherVec(&se, subTopo(t, myC), n, send, sub); err != nil {
-			return err
-		}
-		nb := sizes[myC] * n
+	case mem[0]:
+		sub := e.alloc(sizes[myC] * n)
+		upGatherVec(&se, subTopo(t, myC), n, send, sub)
 		e.stepOverhead()
-		return e.send(0, e.tag(0, myC), sliceRange(e, sub, 0, nb), nb)
+		e.send(0, e.tag(0, myC), sub)
+	default:
+		upGatherVec(&se, subTopo(t, myC), n, send, span{})
 	}
-	return upGatherVec(&se, subTopo(t, myC), n, send, nil)
 }
 
 // downScatterVec is upGatherVec in reverse: position 0 holds every
 // member's n-byte result vector in agg, and each member's vector lands in
 // its recv buffer.
-func downScatterVec(e *env, t *group.Topology, n int, recv, agg []byte) error {
+func downScatterVec(e *env, t *group.Topology, n int, recv, agg span) {
 	q := e.p()
 	if t == nil {
 		if e.me != 0 {
 			e.stepOverhead()
-			return e.recv(0, e.tag(2*hierStagePhases, e.me), sliceRange(e, recv, 0, n), n)
+			e.recv(0, e.tag(2*hierStagePhases, e.me), recv.sub(0, n))
+			return
 		}
-		if e.carry {
-			e.copyb(recv[0:n], agg[0:n])
-		}
+		e.copyb(recv.sub(0, n), agg.sub(0, n))
 		for j := 1; j < q; j++ {
 			e.stepOverhead()
-			if err := e.send(j, e.tag(2*hierStagePhases, j), sliceRange(e, agg, j*n, (j+1)*n), n); err != nil {
-				return err
-			}
+			e.send(j, e.tag(2*hierStagePhases, j), agg.sub(j*n, (j+1)*n))
 		}
-		return nil
+		return
 	}
 	cl := t.Top()
 	K := cl.K()
@@ -228,189 +201,105 @@ func downScatterVec(e *env, t *group.Topology, n int, recv, agg []byte) error {
 	myC := cl.Of(e.me)
 	mem := cl.Members(myC)
 	se, _ := subEnv(e, mem, hierLevelPhases)
-	if e.me == 0 {
+	switch e.me {
+	case 0:
 		at := sizes[0]
 		for d := 1; d < K; d++ {
-			nb := sizes[d] * n
 			e.stepOverhead()
-			if err := e.send(cl.Members(d)[0], e.tag(2*hierStagePhases, d), sliceRange(e, agg, at*n, at*n+nb), nb); err != nil {
-				return err
-			}
+			e.send(cl.Members(d)[0], e.tag(2*hierStagePhases, d), agg.sub(at*n, (at+sizes[d])*n))
 			at += sizes[d]
 		}
-		return downScatterVec(&se, subTopo(t, 0), n, recv, agg)
-	}
-	if e.me == mem[0] {
-		sub, rel := e.detour(sizes[myC] * n)
-		defer rel()
-		nb := sizes[myC] * n
+		downScatterVec(&se, subTopo(t, 0), n, recv, agg)
+	case mem[0]:
+		sub := e.alloc(sizes[myC] * n)
 		e.stepOverhead()
-		if err := e.recv(0, e.tag(2*hierStagePhases, myC), sliceRange(e, sub, 0, nb), nb); err != nil {
-			return err
-		}
-		return downScatterVec(&se, subTopo(t, myC), n, recv, sub)
+		e.recv(0, e.tag(2*hierStagePhases, myC), sub)
+		downScatterVec(&se, subTopo(t, myC), n, recv, sub)
+	default:
+		downScatterVec(&se, subTopo(t, myC), n, recv, span{})
 	}
-	return downScatterVec(&se, subTopo(t, myC), n, recv, nil)
 }
 
-// hierAllToAllv is the ragged complete exchange over the topology's top
-// partition, on the original (possibly non-contiguous) placement. Stage 0:
-// members hand their count rows (sendCounts then recvCounts, 2p int64
-// little-endian) and their send vectors to the block leader. Stage 1:
-// leaders allgather the p×p send-count matrix — rows in
-// cluster-member-list order so each leader contributes one contiguous
-// range — and validate every member's expected receive counts against the
-// matrix columns. Stage 2: leaders run a ragged pairwise exchange of
-// aggregated cluster-pair blocks, sender-member-major, sizes derived from
-// the shared matrix. Stage 3: leaders reassemble per-member result
-// vectors in source-index order and deliver them. Callers gate this to
-// carrying, non-recording endpoints: the plan cache cannot capture a
-// schedule that depends on transported counts, and a timing-only endpoint
-// cannot move the matrix.
-func hierAllToAllv(e *env, t group.Topology, ms machs, send []byte, sendCounts []int, recv []byte, recvCounts []int, es int) error {
+// BuildHierAllToAllv builds the ragged complete exchange over the
+// topology's top partition, on the original (possibly non-contiguous)
+// placement, from the full count matrix: counts[v*p+u] is the number of
+// es-byte elements rank v sends rank u, identical on every rank. Stage 0:
+// members hand their send vectors to the block leader. Stage 1: leaders run
+// a ragged pairwise exchange of aggregated cluster-pair blocks,
+// sender-member-major, sizes read off the shared matrix. Stage 2: leaders
+// reassemble per-member result vectors in source-index order and deliver
+// them. Buf is the send vector, Tmp the receive vector. The plan is valid
+// for this count matrix only.
+func BuildHierAllToAllv(c Ctx, counts []int, es int) (*Plan, error) {
+	e, err := c.begin()
+	if err != nil {
+		return nil, err
+	}
+	t, _, err := c.hierN()
+	if err != nil {
+		return nil, err
+	}
 	p := e.p()
+	if len(counts) != p*p {
+		return nil, fmt.Errorf("core: %d-entry count matrix for group of %d", len(counts), p)
+	}
+	for _, n := range counts {
+		if n < 0 {
+			return nil, fmt.Errorf("core: negative count %d in all-to-allv matrix", n)
+		}
+	}
+	if es <= 0 {
+		return nil, fmt.Errorf("core: element size %d", es)
+	}
+	cnt := func(from, to int) int { return counts[from*p+to] * es }
+	// sent and rcvd are a rank's total bytes out and in.
+	sent := func(i int) (b int) {
+		for u := 0; u < p; u++ {
+			b += cnt(i, u)
+		}
+		return b
+	}
+	rcvd := func(i int) (b int) {
+		for v := 0; v < p; v++ {
+			b += cnt(v, i)
+		}
+		return b
+	}
+	send, recv := span{spaceBuf, 0, sent(e.me)}, span{spaceTmp, 0, rcvd(e.me)}
+
 	cl := t.Top()
 	K := cl.K()
-	myC := cl.Of(e.me)
-	mem := cl.Members(myC)
+	mem := cl.Members(cl.Of(e.me))
 	q := len(mem)
 	leader := mem[0]
 	myPos := indexOf(mem, e.me)
 
-	sTotal, rTotal := 0, 0
-	for _, c := range sendCounts {
-		sTotal += c * es
-	}
-	for _, c := range recvCounts {
-		rTotal += c * es
-	}
-
 	if e.me != leader {
-		row := make([]byte, 16*p)
-		for j, c := range sendCounts {
-			binary.LittleEndian.PutUint64(row[8*j:], uint64(c))
-		}
-		for j, c := range recvCounts {
-			binary.LittleEndian.PutUint64(row[8*(p+j):], uint64(c))
-		}
 		e.stepOverhead()
-		if err := e.send(leader, e.tag(0, myPos), row, 16*p); err != nil {
-			return err
-		}
+		e.send(leader, e.tag(0, myPos), send)
 		e.stepOverhead()
-		if err := e.send(leader, e.tag(0, q+myPos), send[:sTotal], sTotal); err != nil {
-			return err
-		}
-		e.stepOverhead()
-		return e.recv(leader, e.tag(3*hierStagePhases, myPos), recv[:rTotal], rTotal)
+		e.recv(leader, e.tag(2*hierStagePhases, myPos), recv)
+		return e.out.finish(send.n, datatype.Uint8, datatype.Sum), nil
 	}
 
-	// Matrix row ordering: cluster-member-list order, so each leader's
-	// rows form one contiguous run.
-	rowOf := make([]int, p)
-	rowStart := make([]int, K+1)
-	for k := 0; k < K; k++ {
-		mk := cl.Members(k)
-		rowStart[k+1] = rowStart[k] + len(mk)
-		for j, i := range mk {
-			rowOf[i] = rowStart[k] + j
-		}
-	}
-
-	// Stage 0: collect rows, then vectors, from my members. Per-pair FIFO
-	// guarantees each member's row arrives before its vector.
-	mbuf, relM := e.detour(p * p * 8)
-	defer relM()
-	recvRows := make([][]int64, q)
-	for j, c := range sendCounts {
-		binary.LittleEndian.PutUint64(mbuf[(rowOf[e.me]*p+j)*8:], uint64(c))
-	}
-	myRow := make([]int64, p)
-	for j, c := range recvCounts {
-		myRow[j] = int64(c)
-	}
-	recvRows[myPos] = myRow
-	rowBuf := make([]byte, 16*p)
-	for pos, i := range mem {
-		if pos == myPos {
-			continue
-		}
-		e.stepOverhead()
-		if err := e.recv(i, e.tag(0, pos), rowBuf, 16*p); err != nil {
-			return err
-		}
-		copy(mbuf[rowOf[i]*p*8:(rowOf[i]+1)*p*8], rowBuf[:8*p])
-		rr := make([]int64, p)
-		for j := 0; j < p; j++ {
-			rr[j] = int64(binary.LittleEndian.Uint64(rowBuf[8*(p+j):]))
-		}
-		recvRows[pos] = rr
-	}
-	cnt := func(from, to int) int {
-		return int(int64(binary.LittleEndian.Uint64(mbuf[(rowOf[from]*p+to)*8:])))
-	}
+	// Stage 0: collect my members' vectors. gOff and resOff place member
+	// pos's send vector in gbuf and its result vector in res.
 	gOff := make([]int, q+1)
+	resOff := make([]int, q+1)
 	for pos, i := range mem {
-		b := 0
-		for j := 0; j < p; j++ {
-			b += cnt(i, j) * es
-		}
-		gOff[pos+1] = gOff[pos] + b
+		gOff[pos+1] = gOff[pos] + sent(i)
+		resOff[pos+1] = resOff[pos] + rcvd(i)
 	}
-	gbuf, relG := e.detour(gOff[q])
-	defer relG()
-	e.copyb(gbuf[gOff[myPos]:gOff[myPos]+sTotal], send[:sTotal])
+	gbuf := e.alloc(gOff[q])
+	e.copyb(gbuf.sub(gOff[myPos], gOff[myPos+1]), send)
 	for pos, i := range mem {
-		if pos == myPos {
-			continue
-		}
-		nb := gOff[pos+1] - gOff[pos]
-		e.stepOverhead()
-		if err := e.recv(i, e.tag(0, q+pos), gbuf[gOff[pos]:gOff[pos+1]], nb); err != nil {
-			return err
+		if pos != myPos {
+			e.stepOverhead()
+			e.recv(i, e.tag(0, pos), gbuf.sub(gOff[pos], gOff[pos+1]))
 		}
 	}
 
-	// Stage 1: leaders allgather the matrix, then validate each member's
-	// expected receive counts against the corresponding matrix column.
-	if K > 1 {
-		lsub, _ := subEnv(e, cl.Leaders(), hierStagePhases)
-		blockOffs := make([]int, K+1)
-		for k := 0; k <= K; k++ {
-			blockOffs[k] = rowStart[k] * p * 8
-		}
-		s := phaseShape(ms.at(0), model.Collect, K, p*p*8)
-		if err := hybridCollect(&lsub, s, blockOffs, mbuf); err != nil {
-			return err
-		}
-	}
-	for pos, i := range mem {
-		for v := 0; v < p; v++ {
-			if got := cnt(v, i); int64(got) != recvRows[pos][v] {
-				return fmt.Errorf("core: all-to-allv count mismatch: rank %d sends %d elements to rank %d, which expects %d",
-					v, got, i, recvRows[pos][v])
-			}
-		}
-	}
-
-	// Per-member sub-block offsets, from the matrix: within gbuf, member
-	// pos's block for destination u starts at sPref[pos][u]; within pos's
-	// assembled result, the block from source v starts at rPref[pos][v].
-	sPref := make([][]int, q)
-	rPref := make([][]int, q)
-	for pos, i := range mem {
-		sp := make([]int, p+1)
-		rp := make([]int, p+1)
-		sp[0] = gOff[pos]
-		for u := 0; u < p; u++ {
-			sp[u+1] = sp[u] + cnt(i, u)*es
-			rp[u+1] = rp[u] + cnt(u, i)*es
-		}
-		sPref[pos] = sp
-		rPref[pos] = rp
-	}
-
-	// Stage 2: ragged pairwise exchange of aggregated cluster-pair blocks.
+	// Stage 1: ragged pairwise exchange of aggregated cluster-pair blocks.
 	// The block sent to cluster d is my members (sender-major) × d's
 	// members; the block received from d mirrors it with roles swapped —
 	// both sides read the sizes off the same matrix.
@@ -420,60 +309,68 @@ func hierAllToAllv(e *env, t group.Topology, ms machs, send []byte, sendCounts [
 		sb, rb := 0, 0
 		for _, i := range mem {
 			for _, u := range cl.Members(d) {
-				sb += cnt(i, u) * es
-				rb += cnt(u, i) * es
+				sb += cnt(i, u)
+				rb += cnt(u, i)
 			}
 		}
 		sAgg[d+1] = sAgg[d] + sb
 		rAgg[d+1] = rAgg[d] + rb
 	}
-	out, relO := e.detour(sAgg[K])
-	defer relO()
-	in, relI := e.detour(rAgg[K])
-	defer relI()
+	out, in := e.alloc(sAgg[K]), e.alloc(rAgg[K])
+	// Within gbuf, member pos's block for destination u starts at
+	// sPref[pos][u].
+	sPref := make([][]int, q)
+	for pos, i := range mem {
+		sp := make([]int, p+1)
+		sp[0] = gOff[pos]
+		for u := 0; u < p; u++ {
+			sp[u+1] = sp[u] + cnt(i, u)
+		}
+		sPref[pos] = sp
+	}
 	at := 0
 	for d := 0; d < K; d++ {
 		for pos, i := range mem {
 			for _, u := range cl.Members(d) {
-				nb := cnt(i, u) * es
-				e.copyb(out[at:at+nb], gbuf[sPref[pos][u]:sPref[pos][u]+nb])
+				nb := cnt(i, u)
+				e.copyb(out.sub(at, at+nb), gbuf.sub(sPref[pos][u], sPref[pos][u]+nb))
 				at += nb
 			}
 		}
 	}
-	lsub2, _ := subEnv(e, cl.Leaders(), 2*hierStagePhases)
-	if err := pairwiseAllToAll(&lsub2, 0, sAgg, rAgg, out, in); err != nil {
-		return err
-	}
+	lsub, _ := subEnv(&e, cl.Leaders(), hierStagePhases)
+	pairwiseAllToAll(&lsub, 0, sAgg, rAgg, out, in)
 
-	// Stage 3: assemble each member's result vector in source-index order
+	// Stage 2: assemble each member's result vector in source-index order
 	// (the self block came back via the exchange's local copy) and deliver.
-	resOff := make([]int, q+1)
-	for pos := range mem {
-		resOff[pos+1] = resOff[pos] + rPref[pos][p]
+	// Within member pos's result, the block from source v starts at
+	// rPref[pos][v].
+	rPref := make([][]int, q)
+	for pos, i := range mem {
+		rp := make([]int, p+1)
+		rp[0] = resOff[pos]
+		for v := 0; v < p; v++ {
+			rp[v+1] = rp[v] + cnt(v, i)
+		}
+		rPref[pos] = rp
 	}
-	res, relR := e.detour(resOff[q])
-	defer relR()
+	res := e.alloc(resOff[q])
 	for d := 0; d < K; d++ {
 		at := rAgg[d]
 		for _, v := range cl.Members(d) {
 			for pos, i := range mem {
-				nb := cnt(v, i) * es
-				e.copyb(res[resOff[pos]+rPref[pos][v]:resOff[pos]+rPref[pos][v]+nb], in[at:at+nb])
+				nb := cnt(v, i)
+				e.copyb(res.sub(rPref[pos][v], rPref[pos][v]+nb), in.sub(at, at+nb))
 				at += nb
 			}
 		}
 	}
-	e.copyb(recv[:rTotal], res[resOff[myPos]:resOff[myPos]+rTotal])
+	e.copyb(recv, res.sub(resOff[myPos], resOff[myPos+1]))
 	for pos, i := range mem {
-		if pos == myPos {
-			continue
-		}
-		nb := resOff[pos+1] - resOff[pos]
-		e.stepOverhead()
-		if err := e.send(i, e.tag(3*hierStagePhases, pos), res[resOff[pos]:resOff[pos+1]], nb); err != nil {
-			return err
+		if pos != myPos {
+			e.stepOverhead()
+			e.send(i, e.tag(2*hierStagePhases, pos), res.sub(resOff[pos], resOff[pos+1]))
 		}
 	}
-	return nil
+	return e.out.finish(send.n, datatype.Uint8, datatype.Sum), nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/datatype"
 	"repro/internal/model"
 )
 
@@ -67,27 +66,12 @@ func sortStrideDescending(dims []model.Dim) []model.Dim {
 	return out
 }
 
-// validateShape checks s against the group size.
-func validateShape(e *env, s model.Shape) error {
-	if err := s.Validate(e.p()); err != nil {
-		return err
-	}
-	return nil
-}
-
-// blockOf returns the index block [B, B+span) a node belongs to before
-// dimension d (stride s, size d.Size) is processed in stride order.
-func blockOf(me int, d model.Dim) (base, span int) {
-	span = d.Stride * d.Size
-	return me / span * span, span
-}
-
-// hybridBcast executes a broadcast under shape s: inward stages scatter
+// hybridBcast builds a broadcast under shape s: inward stages scatter
 // (long dims) or MST-broadcast (short dims) with gating; outward stages
 // bucket-collect. buf spans count elements of size es; root's buf is the
 // input, every node's buf is the output.
-func hybridBcast(e *env, s model.Shape, root int, buf []byte, count, es int) error {
-	if err := validateShape(e, s); err != nil {
+func hybridBcast(e *env, s model.Shape, root int, buf span, count, es int) error {
+	if err := s.Validate(e.p()); err != nil {
 		return err
 	}
 	x := coords(e.me, s.Dims)
@@ -112,19 +96,14 @@ func hybridBcast(e *env, s model.Shape, root int, buf []byte, count, es int) err
 			if gateOK(x, r, i) {
 				sub := e.dimEnv(d)
 				offs := partOffsets(lo, hi, d.Size, es)
-				if err := mstScatter(&sub, ph, r[i], offs, buf, 0); err != nil {
-					return err
-				}
+				mstScatter(&sub, ph, r[i], offs, buf)
 			}
 			lo, hi = splitPart(lo, hi, d.Size, x[i])
 		} else {
 			// Short stage: MST broadcast of the current piece.
 			if gateOK(x, r, i) {
 				sub := e.dimEnv(d)
-				n := (hi - lo) * es
-				if err := mstBcast(&sub, ph, r[i], sliceRange(e, buf, lo*es, hi*es), n); err != nil {
-					return err
-				}
+				mstBcast(&sub, ph, r[i], buf.sub(lo*es, hi*es))
 			}
 		}
 	}
@@ -139,21 +118,19 @@ func hybridBcast(e *env, s model.Shape, root int, buf []byte, count, es int) err
 		sub := e.dimEnv(d)
 		plo, phi := ranges[i][0], ranges[i][1]
 		offs := partOffsets(plo, phi, d.Size, es)
-		if err := bucketCollect(&sub, ph, offs, buf, 0); err != nil {
-			return err
-		}
+		bucketCollect(&sub, ph, offs, buf)
 		lo, hi = plo, phi
 	}
 	return nil
 }
 
-// hybridReduce executes a combine-to-one under shape s: inward stages
+// hybridReduce builds a combine-to-one under shape s: inward stages
 // bucket-reduce-scatter (long) or MST-reduce (short), outward stages
 // MST-gather back to the root. Every node contributes buf; on return the
 // root's buf holds the combined vector and other nodes' buffers are
 // clobbered. tmp must span count elements.
-func hybridReduce(e *env, s model.Shape, root int, buf, tmp []byte, count, es int, dt datatype.Type, op datatype.Op) error {
-	if err := validateShape(e, s); err != nil {
+func hybridReduce(e *env, s model.Shape, root int, buf, tmp span, count, es int) error {
+	if err := s.Validate(e.p()); err != nil {
 		return err
 	}
 	x := coords(e.me, s.Dims)
@@ -178,9 +155,7 @@ func hybridReduce(e *env, s model.Shape, root int, buf, tmp []byte, count, es in
 			ranges[i] = [2]int{lo, hi}
 			sub := e.dimEnv(d)
 			offs := partOffsets(lo, hi, d.Size, es)
-			if err := bucketReduceScatter(&sub, ph, offs, buf, 0, dt, op); err != nil {
-				return err
-			}
+			bucketReduceScatter(&sub, ph, offs, buf)
 			lo, hi = splitPart(lo, hi, d.Size, x[i])
 		} else {
 			// Short inward: combine-to-one toward the root's coordinate.
@@ -194,11 +169,7 @@ func hybridReduce(e *env, s model.Shape, root int, buf, tmp []byte, count, es in
 			}
 			if live {
 				sub := e.dimEnv(d)
-				n := (hi - lo) * es
-				if err := mstReduce(&sub, ph, r[i], sliceRange(e, buf, lo*es, hi*es),
-					sliceRange(e, tmp, lo*es, hi*es), n, dt, op); err != nil {
-					return err
-				}
+				mstReduce(&sub, ph, r[i], buf.sub(lo*es, hi*es), tmp.sub(lo*es, hi*es))
 			}
 		}
 	}
@@ -214,20 +185,18 @@ func hybridReduce(e *env, s model.Shape, root int, buf, tmp []byte, count, es in
 		if gateOK(x, r, i) {
 			sub := e.dimEnv(d)
 			offs := partOffsets(plo, phi, d.Size, es)
-			if err := mstGather(&sub, ph, r[i], offs, buf, 0); err != nil {
-				return err
-			}
+			mstGather(&sub, ph, r[i], offs, buf)
 		}
 		lo, hi = plo, phi
 	}
 	return nil
 }
 
-// hybridAllReduce executes a combine-to-all: inward bucket-reduce-scatters,
+// hybridAllReduce builds a combine-to-all: inward bucket-reduce-scatters,
 // per-dimension combine-to-one + broadcast on short dims, outward bucket
 // collects. All stages involve every node. tmp must span count elements.
-func hybridAllReduce(e *env, s model.Shape, buf, tmp []byte, count, es int, dt datatype.Type, op datatype.Op) error {
-	if err := validateShape(e, s); err != nil {
+func hybridAllReduce(e *env, s model.Shape, buf, tmp span, count, es int) error {
+	if err := s.Validate(e.p()); err != nil {
 		return err
 	}
 	x := coords(e.me, s.Dims)
@@ -249,23 +218,15 @@ func hybridAllReduce(e *env, s model.Shape, buf, tmp []byte, count, es int, dt d
 			ranges[i] = [2]int{lo, hi}
 			sub := e.dimEnv(d)
 			offs := partOffsets(lo, hi, d.Size, es)
-			if err := bucketReduceScatter(&sub, ph, offs, buf, 0, dt, op); err != nil {
-				return err
-			}
+			bucketReduceScatter(&sub, ph, offs, buf)
 			lo, hi = splitPart(lo, hi, d.Size, x[i])
 		} else {
 			// Short: combine-to-one followed by broadcast (§5.1), within
 			// the dimension; afterwards every member holds the result, so
 			// no gating is needed downstream.
 			sub := e.dimEnv(d)
-			n := (hi - lo) * es
-			if err := mstReduce(&sub, ph, 0, sliceRange(e, buf, lo*es, hi*es),
-				sliceRange(e, tmp, lo*es, hi*es), n, dt, op); err != nil {
-				return err
-			}
-			if err := mstBcast(&sub, ph+1, 0, sliceRange(e, buf, lo*es, hi*es), n); err != nil {
-				return err
-			}
+			mstReduce(&sub, ph, 0, buf.sub(lo*es, hi*es), tmp.sub(lo*es, hi*es))
+			mstBcast(&sub, ph+1, 0, buf.sub(lo*es, hi*es))
 		}
 	}
 	for i := s.ShortFrom - 1; i >= 0; i-- {
@@ -279,26 +240,16 @@ func hybridAllReduce(e *env, s model.Shape, buf, tmp []byte, count, es int, dt d
 		sub := e.dimEnv(d)
 		plo, phi := ranges[i][0], ranges[i][1]
 		offs := partOffsets(plo, phi, d.Size, es)
-		if err := bucketCollect(&sub, ph, offs, buf, 0); err != nil {
-			return err
-		}
+		bucketCollect(&sub, ph, offs, buf)
 		lo, hi = plo, phi
 	}
 	return nil
 }
 
-// sliceRange returns buf[lo:hi] or nil in timing-only mode.
-func sliceRange(e *env, buf []byte, lo, hi int) []byte {
-	if !e.carry {
-		return nil
-	}
-	return buf[lo:hi]
-}
-
 // externalDims validates and returns the canonical stride-descending
 // dimension order for externally partitioned collectives.
 func externalDims(e *env, s model.Shape) ([]model.Dim, error) {
-	if err := validateShape(e, s); err != nil {
+	if err := s.Validate(e.p()); err != nil {
 		return nil, err
 	}
 	dims := s.Dims
@@ -319,13 +270,27 @@ func externalDims(e *env, s model.Shape) ([]model.Dim, error) {
 	return dims, nil
 }
 
-// hybridCollect executes a collect (all-gather) with user counts: each
+// groupOffs returns the d.Size+1 byte offsets of the segments held by the
+// members of me's group in dimension d when dimensions are processed in
+// stride order: the group spans the index block of width Stride·Size that
+// contains me.
+func groupOffs(me int, d model.Dim, offs []int) []int {
+	width := d.Stride * d.Size
+	base := me / width * width
+	gOffs := make([]int, d.Size+1)
+	for t := range gOffs {
+		gOffs[t] = offs[base+t*d.Stride]
+	}
+	return gOffs
+}
+
+// hybridCollect builds a collect (all-gather) with user counts: each
 // node's segment (offs[me]..offs[me+1]) starts in place in buf; on return
 // every node holds the whole vector. Dimensions merge from the smallest
 // stride outward so every intermediate block is index-contiguous. Short
 // dimensions (Dims[ShortFrom:], the innermost strides) run gather +
 // broadcast; long dimensions run the bucket collect.
-func hybridCollect(e *env, s model.Shape, offs []int, buf []byte) error {
+func hybridCollect(e *env, s model.Shape, offs []int, buf span) error {
 	dims, err := externalDims(e, s)
 	if err != nil {
 		return err
@@ -339,37 +304,25 @@ func hybridCollect(e *env, s model.Shape, offs []int, buf []byte) error {
 		if d.Size <= 1 {
 			continue
 		}
-		base, span := blockOf(e.me, d)
-		gOffs := make([]int, d.Size+1)
-		for t := 0; t <= d.Size; t++ {
-			gOffs[t] = offs[base+t*d.Stride]
-		}
-		_ = span
+		gOffs := groupOffs(e.me, d, offs)
 		sub := e.dimEnv(d)
 		if i >= shortSet {
 			// Short collect: gather to the group's first member, then
 			// MST-broadcast the assembled block (§5.1).
-			if err := mstGather(&sub, ph, 0, gOffs, buf, 0); err != nil {
-				return err
-			}
-			n := gOffs[d.Size] - gOffs[0]
-			if err := mstBcast(&sub, ph+1, 0, sliceRange(e, buf, gOffs[0], gOffs[d.Size]), n); err != nil {
-				return err
-			}
+			mstGather(&sub, ph, 0, gOffs, buf)
+			mstBcast(&sub, ph+1, 0, buf.sub(gOffs[0], gOffs[d.Size]))
 		} else {
-			if err := bucketCollect(&sub, ph, gOffs, buf, 0); err != nil {
-				return err
-			}
+			bucketCollect(&sub, ph, gOffs, buf)
 		}
 	}
 	return nil
 }
 
-// hybridScatter executes a scatter with user counts from the given root:
+// hybridScatter builds a scatter with user counts from the given root:
 // the root's buf holds the whole vector; on return each node's segment is
 // in place in its buf. Dimensions split from the largest stride inward;
 // inward gating keeps only data-holding groups active.
-func hybridScatter(e *env, s model.Shape, root int, offs []int, buf []byte) error {
+func hybridScatter(e *env, s model.Shape, root int, offs []int, buf span) error {
 	dims, err := externalDims(e, s)
 	if err != nil {
 		return err
@@ -385,24 +338,17 @@ func hybridScatter(e *env, s model.Shape, root int, offs []int, buf []byte) erro
 			continue
 		}
 		if gateOK(x, r, i) {
-			base, _ := blockOf(e.me, d)
-			gOffs := make([]int, d.Size+1)
-			for t := 0; t <= d.Size; t++ {
-				gOffs[t] = offs[base+t*d.Stride]
-			}
 			sub := e.dimEnv(d)
-			if err := mstScatter(&sub, ph, r[i], gOffs, buf, 0); err != nil {
-				return err
-			}
+			mstScatter(&sub, ph, r[i], groupOffs(e.me, d, offs), buf)
 		}
 	}
 	return nil
 }
 
-// hybridGather executes a gather with user counts toward the given root:
+// hybridGather builds a gather with user counts toward the given root:
 // each node's segment starts in place; on return the root holds the whole
 // vector. Dimensions merge from the smallest stride outward with gating.
-func hybridGather(e *env, s model.Shape, root int, offs []int, buf []byte) error {
+func hybridGather(e *env, s model.Shape, root int, offs []int, buf span) error {
 	dims, err := externalDims(e, s)
 	if err != nil {
 		return err
@@ -418,26 +364,19 @@ func hybridGather(e *env, s model.Shape, root int, offs []int, buf []byte) error
 			continue
 		}
 		if gateOK(x, r, i) {
-			base, _ := blockOf(e.me, d)
-			gOffs := make([]int, d.Size+1)
-			for t := 0; t <= d.Size; t++ {
-				gOffs[t] = offs[base+t*d.Stride]
-			}
 			sub := e.dimEnv(d)
-			if err := mstGather(&sub, ph, r[i], gOffs, buf, 0); err != nil {
-				return err
-			}
+			mstGather(&sub, ph, r[i], groupOffs(e.me, d, offs), buf)
 		}
 	}
 	return nil
 }
 
-// hybridReduceScatter executes a distributed combine with user counts:
+// hybridReduceScatter builds a distributed combine with user counts:
 // every node's buf holds a full contribution; on return each node's
 // segment holds the combined values, in place. Long dimensions run the
 // bucket distributed combine; short dimensions run combine-to-one +
 // scatter (§5.1). tmp must span the whole vector.
-func hybridReduceScatter(e *env, s model.Shape, offs []int, buf, tmp []byte, dt datatype.Type, op datatype.Op) error {
+func hybridReduceScatter(e *env, s model.Shape, offs []int, buf, tmp span) error {
 	dims, err := externalDims(e, s)
 	if err != nil {
 		return err
@@ -451,27 +390,15 @@ func hybridReduceScatter(e *env, s model.Shape, offs []int, buf, tmp []byte, dt 
 		if d.Size <= 1 {
 			continue
 		}
-		base, _ := blockOf(e.me, d)
-		gOffs := make([]int, d.Size+1)
-		for t := 0; t <= d.Size; t++ {
-			gOffs[t] = offs[base+t*d.Stride]
-		}
+		gOffs := groupOffs(e.me, d, offs)
 		sub := e.dimEnv(d)
 		if i >= shortSet {
 			// Short: combine-to-one at the group's first member, then
 			// scatter the combined block.
-			n := gOffs[d.Size] - gOffs[0]
-			if err := mstReduce(&sub, ph, 0, sliceRange(e, buf, gOffs[0], gOffs[d.Size]),
-				sliceRange(e, tmp, gOffs[0], gOffs[d.Size]), n, dt, op); err != nil {
-				return err
-			}
-			if err := mstScatter(&sub, ph+1, 0, gOffs, buf, 0); err != nil {
-				return err
-			}
+			mstReduce(&sub, ph, 0, buf.sub(gOffs[0], gOffs[d.Size]), tmp.sub(gOffs[0], gOffs[d.Size]))
+			mstScatter(&sub, ph+1, 0, gOffs, buf)
 		} else {
-			if err := bucketReduceScatter(&sub, ph, gOffs, buf, 0, dt, op); err != nil {
-				return err
-			}
+			bucketReduceScatter(&sub, ph, gOffs, buf)
 		}
 	}
 	return nil

@@ -27,7 +27,7 @@ func cubeDim(p int) (int, error) {
 	return d, nil
 }
 
-// EDSTBcast broadcasts count elements of size es from root using d
+// BuildEDSTBcast builds the broadcast of count elements of size es from root using d
 // edge-disjoint spanning trees (Ho & Johnsson [7]): the vector is split
 // into d parts, part t travelling down tree t. Tree t sends part t from
 // the root to its dimension-t neighbour, doubles it through the
@@ -37,26 +37,25 @@ func cubeDim(p int) (int, error) {
 // concurrently and the asymptotic cost approaches nβ — twice as fast as
 // scatter/collect. Every operation carries a (tree, global step) schedule
 // position; each node executes its operations in schedule order, which
-// makes the composite deadlock-free under synchronous sends.
-func EDSTBcast(c Ctx, root int, buf []byte, count, es int) error {
-	e := c.env()
-	if err := c.validate(); err != nil {
-		return err
+// makes the composite deadlock-free under synchronous sends. Buf is the
+// vector.
+func BuildEDSTBcast(c Ctx, root, count, es int) (*Plan, error) {
+	e, err := c.begin()
+	if err != nil {
+		return nil, err
 	}
 	p := e.p()
 	if err := checkRoot(root, p); err != nil {
-		return err
+		return nil, err
 	}
-	if err := checkBuf("EDST broadcast", e.carry, buf, count*es); err != nil {
-		return err
+	if err := checkCountES(count, es); err != nil {
+		return nil, err
 	}
 	d, err := cubeDim(p)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if p == 1 {
-		return nil
-	}
+	buf, _ := vectors(count * es)
 	a := e.me ^ root // relative address
 
 	type cubeOp struct {
@@ -94,7 +93,7 @@ func EDSTBcast(c Ctx, root int, buf []byte, count, es int) error {
 			ops = append(ops, cubeOp{step: t + d, tree: t, send: false, peer: (a | 1<<t) ^ root})
 		}
 	}
-	// Execute in global (step, tree) order — identical on every node, and
+	// Emit in global (step, tree) order — identical on every node, and
 	// matching pairs share the same position, so waits are well-founded.
 	sort.Slice(ops, func(i, j int) bool {
 		if ops[i].step != ops[j].step {
@@ -104,22 +103,16 @@ func EDSTBcast(c Ctx, root int, buf []byte, count, es int) error {
 	})
 	for _, o := range ops {
 		lo, hi := splitPart(0, count, d, o.tree)
-		n := (hi - lo) * es
-		part := sliceRange(&e, buf, lo*es, hi*es)
+		part := buf.sub(lo*es, hi*es)
 		tg := e.tag(uint32(o.tree), o.step)
+		e.stepOverhead()
 		if o.send {
-			e.stepOverhead()
-			if err := e.send(o.peer, tg, part, n); err != nil {
-				return err
-			}
+			e.send(o.peer, tg, part)
 		} else {
-			e.stepOverhead()
-			if err := e.recv(o.peer, tg, part, n); err != nil {
-				return err
-			}
+			e.recv(o.peer, tg, part)
 		}
 	}
-	return nil
+	return e.out.finish(buf.n, datatype.Uint8, datatype.Sum), nil
 }
 
 // EDSTBcastCost approximates the EDST broadcast's time: 2d startup steps
@@ -137,26 +130,13 @@ func EDSTBcastCost(m model.Machine, p, nBytes int) float64 {
 	return float64(2*d)*(m.Alpha+m.StepOverhead) + n*m.Beta*(1+1/float64(d))
 }
 
-// RDCollect is the recursive-doubling collect: at step s each node
+// rdCollect is the recursive-doubling collect: at step s each node
 // exchanges its accumulated aligned block with its dimension-s partner,
 // doubling the assembled range. Cost on a native hypercube:
 // dα + ((p-1)/p)nβ — the bucket collect's bandwidth at logarithmic
 // latency, but only conflict-free on cube interconnects. offs are the
 // p+1 absolute byte offsets; each node's own segment must be in place.
-func RDCollect(c Ctx, buf []byte, counts []int, es int) error {
-	e := c.env()
-	if err := c.validate(); err != nil {
-		return err
-	}
-	offs, err := countOffsets(c, counts, es, e.carry, buf)
-	if err != nil {
-		return err
-	}
-	p := e.p()
-	d, err := cubeDim(p)
-	if err != nil {
-		return err
-	}
+func rdCollect(e *env, d int, offs []int, buf span) {
 	me := e.me
 	for s := 0; s < d; s++ {
 		size := 1 << s
@@ -164,14 +144,22 @@ func RDCollect(c Ctx, buf []byte, counts []int, es int) error {
 		myLo := me &^ (size - 1) // current assembled block start
 		paLo := partner &^ (size - 1)
 		tg := e.tag(0, s)
-		sb := sliceRange(&e, buf, offs[myLo], offs[myLo+size])
-		rb := sliceRange(&e, buf, offs[paLo], offs[paLo+size])
-		if err := e.sendRecv(partner, tg, sb, offs[myLo+size]-offs[myLo],
-			partner, tg, rb, offs[paLo+size]-offs[paLo]); err != nil {
-			return err
-		}
+		e.sendRecv(partner, tg, buf.sub(offs[myLo], offs[myLo+size]),
+			partner, tg, buf.sub(offs[paLo], offs[paLo+size]))
 	}
-	return nil
+}
+
+// BuildRDCollect builds the recursive-doubling collect of counts[i]
+// es-byte elements per node on a power-of-two group. Buf spans the whole
+// vector.
+func BuildRDCollect(c Ctx, counts []int, es int) (*Plan, error) {
+	e, d, offs, err := c.beginCube(counts, es)
+	if err != nil {
+		return nil, err
+	}
+	buf, _ := vectors(offs[len(offs)-1])
+	rdCollect(&e, d, offs, buf)
+	return e.out.finish(buf.n, datatype.Uint8, datatype.Sum), nil
 }
 
 // RDCollectCost is the native-hypercube cost of RDCollect.
@@ -187,31 +175,14 @@ func RDCollectCost(m model.Machine, p, nBytes int) float64 {
 	return float64(d)*m.Alpha + f*float64(nBytes)*m.Beta
 }
 
-// RHReduceScatter is the recursive-halving distributed combine: at each
+// rhReduceScatter is the recursive-halving distributed combine: at each
 // step a node sends the half of its current block belonging to its
 // partner's side and combines the received half into its own, halving the
 // block until only its own segment remains. Cost on a native hypercube:
 // dα + ((p-1)/p)n(β+γ). buf holds a full contribution on entry; the
-// node's own segment is combined in place on return. tmp must span the
-// whole vector.
-func RHReduceScatter(c Ctx, buf, tmp []byte, counts []int, dt datatype.Type, op datatype.Op) error {
-	e := c.env()
-	if err := c.validate(); err != nil {
-		return err
-	}
-	es := dt.Size()
-	offs, err := countOffsets(c, counts, es, e.carry, buf)
-	if err != nil {
-		return err
-	}
-	if err := checkBuf("recursive-halving scratch", e.carry, tmp, offs[len(offs)-1]); err != nil {
-		return err
-	}
-	p := e.p()
-	d, err := cubeDim(p)
-	if err != nil {
-		return err
-	}
+// node's own segment is combined in place on return. tmp spans the whole
+// vector.
+func rhReduceScatter(e *env, d int, offs []int, buf, tmp span) {
 	me := e.me
 	for s := d - 1; s >= 0; s-- {
 		size := 1 << s
@@ -221,30 +192,52 @@ func RHReduceScatter(c Ctx, buf, tmp []byte, counts []int, dt datatype.Type, op 
 		if me&size != 0 {
 			myLo, paLo = blockLo+size, blockLo
 		}
-		sendN := offs[paLo+size] - offs[paLo]
-		recvN := offs[myLo+size] - offs[myLo]
 		tg := e.tag(1, s)
-		sb := sliceRange(&e, buf, offs[paLo], offs[paLo+size])
-		rb := sliceRange(&e, tmp, offs[myLo], offs[myLo+size])
-		if err := e.sendRecv(partner, tg, sb, sendN, partner, tg, rb, recvN); err != nil {
-			return err
-		}
-		if err := e.combine(dt, op, sliceRange(&e, buf, offs[myLo], offs[myLo+size]), rb, recvN); err != nil {
-			return err
-		}
+		rb := tmp.sub(offs[myLo], offs[myLo+size])
+		e.sendRecv(partner, tg, buf.sub(offs[paLo], offs[paLo+size]), partner, tg, rb)
+		e.combine(buf.sub(offs[myLo], offs[myLo+size]), rb)
 	}
-	return nil
 }
 
-// HypercubeAllReduce is recursive halving followed by recursive doubling —
-// the classic hypercube combine-to-all: 2dα + 2((p-1)/p)nβ + ((p-1)/p)nγ
-// on a native cube.
-func HypercubeAllReduce(c Ctx, buf, tmp []byte, count int, dt datatype.Type, op datatype.Op) error {
-	p := len(c.Members)
-	counts := equalCounts(count, p)
-	// The two phases use disjoint tag phase fields, so one Coll id serves.
-	if err := RHReduceScatter(c, buf, tmp, counts, dt, op); err != nil {
-		return err
+// BuildRHReduceScatter builds the recursive-halving distributed combine on
+// a power-of-two group. Buf is the full contribution, Tmp the scratch.
+func BuildRHReduceScatter(c Ctx, counts []int, dt datatype.Type, op datatype.Op) (*Plan, error) {
+	e, d, offs, err := c.beginCube(counts, dt.Size())
+	if err != nil {
+		return nil, err
 	}
-	return RDCollect(c, buf, counts, dt.Size())
+	buf, tmp := vectors(offs[len(offs)-1])
+	rhReduceScatter(&e, d, offs, buf, tmp)
+	return e.out.finish(buf.n, dt, op), nil
+}
+
+// BuildHypercubeAllReduce builds recursive halving followed by recursive
+// doubling — the classic hypercube combine-to-all: 2dα + 2((p-1)/p)nβ +
+// ((p-1)/p)nγ on a native cube. The two phases use disjoint tag phase
+// fields, so one Coll id serves.
+func BuildHypercubeAllReduce(c Ctx, count int, dt datatype.Type, op datatype.Op) (*Plan, error) {
+	if err := checkCountES(count, dt.Size()); err != nil {
+		return nil, err
+	}
+	e, d, offs, err := c.beginCube(equalCounts(count, len(c.Members)), dt.Size())
+	if err != nil {
+		return nil, err
+	}
+	buf, tmp := vectors(offs[len(offs)-1])
+	rhReduceScatter(&e, d, offs, buf, tmp)
+	rdCollect(&e, d, offs, buf)
+	return e.out.finish(buf.n, dt, op), nil
+}
+
+// beginCube opens a plan on a power-of-two group whose vector is
+// partitioned by counts: the env, the cube dimension and the byte offsets.
+func (c Ctx) beginCube(counts []int, es int) (e env, d int, offs []int, err error) {
+	if e, err = c.begin(); err != nil {
+		return
+	}
+	if offs, err = countOffsets(e.p(), counts, es); err != nil {
+		return
+	}
+	d, err = cubeDim(e.p())
+	return
 }

@@ -28,7 +28,7 @@ func TestEDSTBcastCorrect(t *testing.T) {
 						if c.Me == root {
 							copy(buf, want)
 						}
-						if err := EDSTBcast(c, root, buf, count, 1); err != nil {
+						if err := c.Run(Buffers{Buf: buf})(BuildEDSTBcast(c, root, count, 1)); err != nil {
 							return err
 						}
 						if !bytes.Equal(buf, want) {
@@ -45,10 +45,10 @@ func TestEDSTBcastCorrect(t *testing.T) {
 // TestEDSTRejectsNonPowerOfTwo: §11's hypercube algorithms are guarded.
 func TestEDSTRejectsNonPowerOfTwo(t *testing.T) {
 	runWorld(t, 6, func(c Ctx) error {
-		if err := EDSTBcast(c, 0, make([]byte, 4), 4, 1); err == nil {
+		if err := c.Run(Buffers{Buf: make([]byte, 4)})(BuildEDSTBcast(c, 0, 4, 1)); err == nil {
 			return fmt.Errorf("p=6 accepted")
 		}
-		if err := RDCollect(c, make([]byte, 6), equalCounts(6, 6), 1); err == nil {
+		if err := c.Run(Buffers{Buf: make([]byte, 6)})(BuildRDCollect(c, equalCounts(6, 6), 1)); err == nil {
 			return fmt.Errorf("RD p=6 accepted")
 		}
 		return nil
@@ -127,7 +127,7 @@ func TestRDCollectAndRHReduceScatter(t *testing.T) {
 			runWorld(t, p, func(c Ctx) error {
 				buf := make([]byte, total)
 				fill(buf[offs[c.Me]:offs[c.Me+1]], c.Me)
-				if err := RDCollect(c, buf, counts, 1); err != nil {
+				if err := c.Run(Buffers{Buf: buf})(BuildRDCollect(c, counts, 1)); err != nil {
 					return err
 				}
 				if !bytes.Equal(buf, want) {
@@ -151,7 +151,7 @@ func TestRDCollectAndRHReduceScatter(t *testing.T) {
 				buf := make([]byte, total*4)
 				tmp := make([]byte, total*4)
 				datatype.PutInt32s(buf, in)
-				if err := RHReduceScatter(c, buf, tmp, counts, datatype.Int32, datatype.Sum); err != nil {
+				if err := c.Run(Buffers{Buf: buf, Tmp: tmp})(BuildRHReduceScatter(c, counts, datatype.Int32, datatype.Sum)); err != nil {
 					return err
 				}
 				got := datatype.Int32s(buf[offs[c.Me]*4 : offs[c.Me+1]*4])
@@ -183,7 +183,7 @@ func TestHypercubeAllReduce(t *testing.T) {
 		buf := make([]byte, count*8)
 		tmp := make([]byte, count*8)
 		datatype.PutInt64s(buf, in)
-		if err := HypercubeAllReduce(c, buf, tmp, count, datatype.Int64, datatype.Sum); err != nil {
+		if err := c.Run(Buffers{Buf: buf, Tmp: tmp})(BuildHypercubeAllReduce(c, count, datatype.Int64, datatype.Sum)); err != nil {
 			return err
 		}
 		got := datatype.Int64s(buf)
@@ -221,7 +221,7 @@ func TestRDCollectNativeTiming(t *testing.T) {
 		n := 16 * p
 		counts := equalCounts(n, p)
 		got := cubeT(t, p, m, func(c Ctx) error {
-			return RDCollect(c, nil, counts, 1)
+			return c.Run(Buffers{})(BuildRDCollect(c, counts, 1))
 		})
 		want := RDCollectCost(m, p, n)
 		if math.Abs(got-want) > 1e-9*want {
@@ -248,7 +248,7 @@ func TestHypercubeLongVectorBroadcast(t *testing.T) {
 	long := 16 << 20
 	sc := model.BucketShape(group.Linear(p))
 	scLong := cubeT(t, p, m, func(c Ctx) error {
-		return Bcast(c, sc, 0, nil, long, 1)
+		return c.Run(Buffers{})(BuildBcast(c, sc, 0, long, 1))
 	})
 	blocks := OptimalBlocks(m, p, long)
 	gray := group.GrayRing(p)
@@ -256,14 +256,14 @@ func TestHypercubeLongVectorBroadcast(t *testing.T) {
 		g := c
 		g.Members = gray
 		g.Me = group.Index(gray, c.EP.Rank())
-		return PipelinedBcast(g, 0, nil, long, 1, blocks)
+		return g.Run(Buffers{})(BuildPipelinedBcast(g, 0, long, 1, blocks))
 	})
 	if ratio := scLong / pipeLong; ratio < 1.5 || ratio > 2.1 {
 		t.Errorf("16MB on native cube: scatter/collect %.4g / Gray-pipelined %.4g = %.2f, want in [1.5, 2.1]",
 			scLong, pipeLong, ratio)
 	}
 	edstLong := cubeT(t, p, m, func(c Ctx) error {
-		return EDSTBcast(c, 0, nil, long, 1)
+		return c.Run(Buffers{})(BuildEDSTBcast(c, 0, long, 1))
 	})
 	if edstLong < scLong {
 		t.Logf("note: unpipelined EDST unexpectedly beat scatter/collect (%.4g vs %.4g)", edstLong, scLong)
@@ -271,10 +271,10 @@ func TestHypercubeLongVectorBroadcast(t *testing.T) {
 	// And at 8 bytes plain MST wins against both long-vector algorithms.
 	mst := model.MSTShape(group.Linear(p))
 	mstShort := cubeT(t, p, m, func(c Ctx) error {
-		return Bcast(c, mst, 0, nil, 8, 1)
+		return c.Run(Buffers{})(BuildBcast(c, mst, 0, 8, 1))
 	})
 	edstShort := cubeT(t, p, m, func(c Ctx) error {
-		return EDSTBcast(c, 0, nil, 8, 1)
+		return c.Run(Buffers{})(BuildEDSTBcast(c, 0, 8, 1))
 	})
 	if mstShort >= edstShort {
 		t.Errorf("8B: MST %.4g should beat EDST %.4g", mstShort, edstShort)

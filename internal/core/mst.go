@@ -1,9 +1,5 @@
 package core
 
-import (
-	"repro/internal/datatype"
-)
-
 // The four short-vector primitives of §4.1, built on recursive halving of
 // the member list: the group [lo, hi) is split into halves, the root's
 // counterpart in the other half is seeded, and each half recurses. Halving
@@ -12,10 +8,9 @@ import (
 // network conflicts occur. Each primitive takes ⌈log₂ p⌉ steps.
 //
 // Range-based primitives (scatter, gather, bucket ops) address data through
-// a table of absolute byte offsets offs[0..p] plus the offset `base`
-// corresponding to buf[0]; every node passes a buffer covering the same
-// coordinate range, which is how hybrid stages operate in place on the
-// user's vector.
+// a table of absolute byte offsets offs[0..p] into the span buf; every node
+// passes the same coordinate range, which is how hybrid stages operate in
+// place on the user's vector.
 
 // halves splits [lo, hi) at mid and returns the half roots given the
 // current root r: the half containing r keeps it; the other half's new
@@ -28,31 +23,25 @@ func halves(lo, hi, r int) (mid, leftRoot, rightRoot int) {
 	return mid, lo, r
 }
 
-// mstBcast broadcasts n bytes of buf from logical root to every member:
+// mstBcast broadcasts buf from logical root to every member:
 // ⌈log₂p⌉ (α + nβ).
-func mstBcast(e *env, phase uint32, root int, buf []byte, n int) error {
+func mstBcast(e *env, phase uint32, root int, buf span) {
 	lo, hi, r := 0, e.p(), root
 	me := e.me
 	for step := 0; hi-lo > 1; step++ {
 		mid, lr, rr := halves(lo, hi, r)
-		var from, to int
+		from, to := r, lr
 		if r < mid {
-			from, to = r, rr
-		} else {
-			from, to = r, lr
+			to = rr
 		}
 		t := e.tag(phase, step)
 		switch me {
 		case from:
 			e.stepOverhead()
-			if err := e.send(to, t, buf, n); err != nil {
-				return err
-			}
+			e.send(to, t, buf)
 		case to:
 			e.stepOverhead()
-			if err := e.recv(from, t, buf, n); err != nil {
-				return err
-			}
+			e.recv(from, t, buf)
 		}
 		if me < mid {
 			hi, r = mid, lr
@@ -60,95 +49,67 @@ func mstBcast(e *env, phase uint32, root int, buf []byte, n int) error {
 			lo, r = mid, rr
 		}
 	}
-	return nil
 }
 
-// mstReduce combines every member's n-byte contribution in buf to the
-// logical root (the combine-to-one of §4.1): the broadcast run in reverse
-// with ⊕ interleaved, ⌈log₂p⌉ (α + nβ + nγ). On return the root's buf
-// holds the combined vector; other members' buffers hold partial results.
-// tmp must provide n bytes of scratch (nil in timing-only mode).
-func mstReduce(e *env, phase uint32, root int, buf, tmp []byte, n int, dt datatype.Type, op datatype.Op) error {
+// mstReduce combines every member's contribution in buf to the logical
+// root (the combine-to-one of §4.1): the broadcast run in reverse with ⊕
+// interleaved, ⌈log₂p⌉ (α + nβ + nγ). On return the root's buf holds the
+// combined vector; other members' buffers hold partial results. tmp
+// provides buf.n bytes of scratch.
+func mstReduce(e *env, phase uint32, root int, buf, tmp span) {
 	me := e.me
-	var rec func(lo, hi, r, depth int) error
-	rec = func(lo, hi, r, depth int) error {
+	var rec func(lo, hi, r, depth int)
+	rec = func(lo, hi, r, depth int) {
 		if hi-lo <= 1 {
-			return nil
+			return
 		}
 		mid, lr, rr := halves(lo, hi, r)
 		if me < mid {
-			if err := rec(lo, mid, lr, depth+1); err != nil {
-				return err
-			}
+			rec(lo, mid, lr, depth+1)
 		} else {
-			if err := rec(mid, hi, rr, depth+1); err != nil {
-				return err
-			}
+			rec(mid, hi, rr, depth+1)
 		}
 		// The half not containing r forwards its combined result to r.
-		var from int
+		from := lr
 		if r < mid {
 			from = rr
-		} else {
-			from = lr
 		}
 		t := e.tag(phase, depth)
 		switch me {
 		case from:
 			e.stepOverhead()
-			if err := e.send(r, t, buf, n); err != nil {
-				return err
-			}
+			e.send(r, t, buf)
 		case r:
 			e.stepOverhead()
-			if err := e.recv(from, t, tmp, n); err != nil {
-				return err
-			}
-			if err := e.combine(dt, op, buf, tmp, n); err != nil {
-				return err
-			}
+			e.recv(from, t, tmp)
+			e.combine(buf, tmp)
 		}
-		return nil
 	}
-	return rec(0, e.p(), root, 0)
+	rec(0, e.p(), root, 0)
 }
 
-// mstScatter distributes segment i (bytes [offs[i], offs[i+1]) of the
-// shared coordinate range) from the root to logical node i, forwarding at
-// each halving step only the data destined for the other half:
-// ⌈log₂p⌉ α + ((p-1)/p) nβ. The root's buf must hold the whole range;
-// receiving nodes' ranges are filled in place.
-func mstScatter(e *env, phase uint32, root int, offs []int, buf []byte, base int) error {
-	p := e.p()
+// mstScatter distributes segment i (bytes [offs[i], offs[i+1]) of buf)
+// from the root to logical node i, forwarding at each halving step only
+// the data destined for the other half: ⌈log₂p⌉ α + ((p-1)/p) nβ. The
+// root's buf must hold the whole range; receiving nodes' ranges are filled
+// in place.
+func mstScatter(e *env, phase uint32, root int, offs []int, buf span) {
 	me := e.me
-	sl := func(lo, hi int) []byte {
-		if !e.carry {
-			return nil
-		}
-		return buf[offs[lo]-base : offs[hi]-base]
-	}
-	lo, hi, r := 0, p, root
+	lo, hi, r := 0, e.p(), root
 	for step := 0; hi-lo > 1; step++ {
 		mid, lr, rr := halves(lo, hi, r)
-		var from, to, slo, shi int
+		from, to, slo, shi := r, lr, lo, mid
 		if r < mid {
-			from, to, slo, shi = r, rr, mid, hi
-		} else {
-			from, to, slo, shi = r, lr, lo, mid
+			to, slo, shi = rr, mid, hi
 		}
-		nb := offs[shi] - offs[slo]
 		t := e.tag(phase, step)
 		switch me {
 		case from:
 			e.stepOverhead()
-			if err := e.send(to, t, sl(slo, shi), nb); err != nil {
-				return err
-			}
+			e.send(to, t, buf.sub(offs[slo], offs[shi]))
 		case to:
 			e.stepOverhead()
-			if err := e.recv(from, t, sl(slo, shi), nb); err != nil {
-				return err
-			}
+			e.recv(from, t, buf.sub(offs[slo], offs[shi]))
 		}
 		if me < mid {
 			hi, r = mid, lr
@@ -156,55 +117,36 @@ func mstScatter(e *env, phase uint32, root int, offs []int, buf []byte, base int
 			lo, r = mid, rr
 		}
 	}
-	return nil
 }
 
 // mstGather is the scatter run in reverse (§4.1), same cost: each member's
 // segment i of the coordinate range is assembled at the root.
-func mstGather(e *env, phase uint32, root int, offs []int, buf []byte, base int) error {
+func mstGather(e *env, phase uint32, root int, offs []int, buf span) {
 	me := e.me
-	sl := func(lo, hi int) []byte {
-		if !e.carry {
-			return nil
-		}
-		return buf[offs[lo]-base : offs[hi]-base]
-	}
-	var rec func(lo, hi, r, depth int) error
-	rec = func(lo, hi, r, depth int) error {
+	var rec func(lo, hi, r, depth int)
+	rec = func(lo, hi, r, depth int) {
 		if hi-lo <= 1 {
-			return nil
+			return
 		}
 		mid, lr, rr := halves(lo, hi, r)
 		if me < mid {
-			if err := rec(lo, mid, lr, depth+1); err != nil {
-				return err
-			}
+			rec(lo, mid, lr, depth+1)
 		} else {
-			if err := rec(mid, hi, rr, depth+1); err != nil {
-				return err
-			}
+			rec(mid, hi, rr, depth+1)
 		}
-		var from, slo, shi int
+		from, slo, shi := lr, lo, mid
 		if r < mid {
 			from, slo, shi = rr, mid, hi
-		} else {
-			from, slo, shi = lr, lo, mid
 		}
-		nb := offs[shi] - offs[slo]
 		t := e.tag(phase, depth)
 		switch me {
 		case from:
 			e.stepOverhead()
-			if err := e.send(r, t, sl(slo, shi), nb); err != nil {
-				return err
-			}
+			e.send(r, t, buf.sub(offs[slo], offs[shi]))
 		case r:
 			e.stepOverhead()
-			if err := e.recv(from, t, sl(slo, shi), nb); err != nil {
-				return err
-			}
+			e.recv(from, t, buf.sub(offs[slo], offs[shi]))
 		}
-		return nil
 	}
-	return rec(0, e.p(), root, 0)
+	rec(0, e.p(), root, 0)
 }

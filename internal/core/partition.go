@@ -44,19 +44,3 @@ func prefixOffsets(counts []int) []int {
 	}
 	return off
 }
-
-// sum returns the total of counts.
-func sum(counts []int) int {
-	t := 0
-	for _, c := range counts {
-		t += c
-	}
-	return t
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

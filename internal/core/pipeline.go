@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/datatype"
 	"repro/internal/model"
 )
 
@@ -21,79 +22,53 @@ import (
 // times. The ablation in internal/harness reproduces exactly that: with
 // latency noise injected, the simpler scatter/collect broadcast wins.
 
-// PipelinedBcast broadcasts count elements of size es from root through a
-// ring pipeline of blocks. blocks must be ≥ 1; use OptimalBlocks for the
-// model-optimal count. buf spans the whole vector on every node.
-func PipelinedBcast(c Ctx, root int, buf []byte, count, es, blocks int) error {
-	e := c.env()
-	if err := c.validate(); err != nil {
-		return err
-	}
-	if err := checkRoot(root, e.p()); err != nil {
-		return err
-	}
-	if err := checkBuf("pipelined broadcast", e.carry, buf, count*es); err != nil {
-		return err
-	}
-	if blocks < 1 {
-		return fmt.Errorf("core: pipelined broadcast with %d blocks", blocks)
+// BuildPipelinedBcast builds the broadcast of count elements of size es
+// from root through a ring pipeline of blocks. blocks must be ≥ 1; use
+// OptimalBlocks for the model-optimal count. Buf is the vector.
+func BuildPipelinedBcast(c Ctx, root, count, es, blocks int) (*Plan, error) {
+	e, err := c.begin()
+	if err != nil {
+		return nil, err
 	}
 	p := e.p()
-	if p == 1 {
-		return nil
+	if err := checkRoot(root, p); err != nil {
+		return nil, err
 	}
-	if blocks > count && count > 0 {
-		blocks = count
+	if err := checkCountES(count, es); err != nil {
+		return nil, err
 	}
-	if count == 0 {
-		blocks = 1
+	if blocks < 1 {
+		return nil, fmt.Errorf("core: pipelined broadcast with %d blocks", blocks)
+	}
+	blocks = max(1, min(blocks, count))
+	buf, _ := vectors(count * es)
+	blk := func(b int) span {
+		lo, hi := splitPart(0, count, blocks, b)
+		return buf.sub(lo*es, hi*es)
 	}
 	// Ring position relative to the root.
 	q := (e.me - root + p) % p
 	succ := (e.me + 1) % p
 	pred := (e.me - 1 + p) % p
-
-	type blk struct{ off, n int }
-	bl := make([]blk, blocks)
-	for b := range bl {
-		lo, hi := splitPart(0, count, blocks, b)
-		bl[b] = blk{off: lo * es, n: (hi - lo) * es}
-	}
-	sl := func(b int) []byte {
-		if !e.carry {
-			return nil
-		}
-		return buf[bl[b].off : bl[b].off+bl[b].n]
-	}
 	const phase = 0
 	switch {
+	case p == 1:
 	case q == 0: // root: stream all blocks to the successor
 		for b := 0; b < blocks; b++ {
-			if err := e.send(succ, e.tag(phase, b), sl(b), bl[b].n); err != nil {
-				return err
-			}
+			e.send(succ, e.tag(phase, b), blk(b))
 		}
 	case q == p-1: // tail: sink all blocks
 		for b := 0; b < blocks; b++ {
-			if err := e.recv(pred, e.tag(phase, b), sl(b), bl[b].n); err != nil {
-				return err
-			}
+			e.recv(pred, e.tag(phase, b), blk(b))
 		}
 	default: // interior: forward block b-1 while receiving block b
-		if err := e.recv(pred, e.tag(phase, 0), sl(0), bl[0].n); err != nil {
-			return err
-		}
+		e.recv(pred, e.tag(phase, 0), blk(0))
 		for b := 1; b < blocks; b++ {
-			if err := e.sendRecv(succ, e.tag(phase, b-1), sl(b-1), bl[b-1].n,
-				pred, e.tag(phase, b), sl(b), bl[b].n); err != nil {
-				return err
-			}
+			e.sendRecv(succ, e.tag(phase, b-1), blk(b-1), pred, e.tag(phase, b), blk(b))
 		}
-		if err := e.send(succ, e.tag(phase, blocks-1), sl(blocks-1), bl[blocks-1].n); err != nil {
-			return err
-		}
+		e.send(succ, e.tag(phase, blocks-1), blk(blocks-1))
 	}
-	return nil
+	return e.out.finish(buf.n, datatype.Uint8, datatype.Sum), nil
 }
 
 // OptimalBlocks returns the block count minimizing the pipelined

@@ -27,7 +27,7 @@ func TestPipelinedBcastCorrect(t *testing.T) {
 						if c.Me == root {
 							copy(buf, want)
 						}
-						if err := PipelinedBcast(c, root, buf, count, 1, blocks); err != nil {
+						if err := c.Run(Buffers{Buf: buf})(BuildPipelinedBcast(c, root, count, 1, blocks)); err != nil {
 							return err
 						}
 						if !bytes.Equal(buf, want) {
@@ -48,7 +48,7 @@ func TestPipelinedBcastTiming(t *testing.T) {
 	const p, blocks = 8, 4
 	n := blocks * 100
 	got := simT(t, 1, p, m, false, func(c Ctx) error {
-		return PipelinedBcast(c, 0, nil, n, 1, blocks)
+		return c.Run(Buffers{})(BuildPipelinedBcast(c, 0, n, 1, blocks))
 	})
 	want := PipelinedBcastCost(m, p, n, blocks)
 	if math.Abs(got-want) > 1e-9*want {
@@ -68,10 +68,10 @@ func TestPipelinedAsymptotics(t *testing.T) {
 		t.Fatalf("optimal blocks = %d", blocks)
 	}
 	pipe := simT(t, 1, p, m, false, func(c Ctx) error {
-		return PipelinedBcast(c, 0, nil, n, 1, blocks)
+		return c.Run(Buffers{})(BuildPipelinedBcast(c, 0, n, 1, blocks))
 	})
 	sc := simT(t, 1, p, m, false, func(c Ctx) error {
-		return Bcast(c, model.BucketShape(group.Linear(p)), 0, nil, n, 1)
+		return c.Run(Buffers{})(BuildBcast(c, model.BucketShape(group.Linear(p)), 0, n, 1))
 	})
 	if pipe >= sc {
 		t.Errorf("8MB: pipelined %.4g should beat scatter/collect %.4g", pipe, sc)
@@ -84,10 +84,10 @@ func TestPipelinedAsymptotics(t *testing.T) {
 // TestPipelinedValidation: misuse is rejected.
 func TestPipelinedValidation(t *testing.T) {
 	runWorld(t, 2, func(c Ctx) error {
-		if err := PipelinedBcast(c, 0, nil, 4, 1, 0); err == nil {
+		if err := c.Run(Buffers{})(BuildPipelinedBcast(c, 0, 4, 1, 0)); err == nil {
 			return fmt.Errorf("0 blocks accepted")
 		}
-		if err := PipelinedBcast(c, 9, nil, 4, 1, 1); err == nil {
+		if err := c.Run(Buffers{})(BuildPipelinedBcast(c, 9, 4, 1, 1)); err == nil {
 			return fmt.Errorf("bad root accepted")
 		}
 		return nil

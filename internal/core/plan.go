@@ -2,21 +2,22 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/datatype"
 	"repro/internal/model"
 	"repro/internal/transport"
 )
 
-// Plan construction / plan execution split. A collective invocation is
-// data-oblivious: given the group, the shape, the root and the byte
-// layout, the sequence of sends, receives, combines and copies a rank
-// performs is fixed. A Plan captures that sequence once — recorded by
-// running the ordinary executors against a recording env — and replays it
-// with a tight loop over the steps (Execute). Persistent and non-blocking
-// collectives build a Plan at initialization time and replay it on every
-// Start, so the hot path never re-runs shape resolution, coordinate
-// arithmetic, gating or offset computation, and never allocates.
+// A collective invocation is data-oblivious: given the group, the shape,
+// the root and the byte layout, the sequence of sends, receives, combines
+// and copies a rank performs is fixed. A Plan is that sequence, emitted
+// once by the builders of this package (build.go) and run any number of
+// times by Execute — the only code in the package that touches an endpoint
+// or knows a data-carrying transport from a timing-only one. Every
+// collective of the library, in every completion mode, is a plan lookup
+// followed by Execute, so the hot path never re-runs shape resolution,
+// coordinate arithmetic, gating or offset computation, and never allocates.
 //
 // A plan is rank-specific (it holds only this rank's steps, with peer
 // transport ranks resolved) and addresses data by (space, offset) pairs
@@ -26,9 +27,8 @@ import (
 //     an all-to-all);
 //   - Tmp: the combine scratch vector (or the receive vector of an
 //     all-to-all);
-//   - Scratch: an arena covering every buffer the algorithms would have
-//     allocated internally (relay buffers, packing copies, ...), sized by
-//     the recording pass.
+//   - Scratch: an arena covering every buffer the algorithms use
+//     internally (relay buffers, packing copies, ...), sized by the build.
 
 // stepOp enumerates the plan instruction set.
 type stepOp uint8
@@ -75,25 +75,26 @@ type Buffers struct {
 	Buf, Tmp, Scratch []byte
 }
 
-// Plan is the recorded step sequence of one collective invocation on one
-// rank, replayable any number of times via Execute.
+// Plan is the step sequence of one collective invocation on one rank,
+// runnable any number of times via Execute.
 type Plan struct {
 	steps []step
 	// BufLen, TmpLen and ScratchLen are the byte lengths the three buffer
-	// spaces must provide on data-carrying transports.
+	// spaces must provide on data-carrying transports: the vector, and as
+	// much of Tmp and Scratch as the steps use.
 	BufLen, TmpLen, ScratchLen int
 	// DT and CombineOp interpret buffers during combine steps.
 	DT        datatype.Type
 	CombineOp datatype.Op
 }
 
-// Steps returns the number of recorded instructions.
+// Steps returns the number of instructions.
 func (pl *Plan) Steps() int { return len(pl.steps) }
 
-// Execute replays the plan against an endpoint. mach, when non-nil,
-// charges γ per combined byte and the per-step software overhead on
-// virtual-time transports, mirroring direct execution. Buffers must cover
-// the plan's declared lengths on data-carrying transports.
+// Execute runs the plan against an endpoint. mach, when non-nil, charges γ
+// per combined byte and the per-step software overhead on virtual-time
+// transports. Buffers must cover the plan's declared lengths on
+// data-carrying transports.
 func (pl *Plan) Execute(ep transport.Endpoint, mach *model.Machine, bs Buffers) error {
 	carry := transport.CarriesData(ep)
 	if carry {
@@ -103,8 +104,9 @@ func (pl *Plan) Execute(ep transport.Endpoint, mach *model.Machine, bs Buffers) 
 		}
 	}
 	ss, hasSS := ep.(transport.SizeSender)
-	// fail mirrors env.fail on the replay path: a failed step aborts the
-	// world so peers blocked mid-plan return within the propagation bound.
+	// A failed step aborts the world (see transport.AbortOnError), so peers
+	// blocked mid-plan return within the propagation bound instead of
+	// waiting out their receive timeouts.
 	fail := func(err error) error { return transport.AbortOnError(ep, err) }
 	sl := func(r bufRef, n int) []byte {
 		if !carry || r.space == spaceNone {
@@ -191,87 +193,44 @@ func (pl *Plan) Execute(ep transport.Endpoint, mach *model.Machine, bs Buffers) 
 	return nil
 }
 
-// registered is one base buffer the recorder can resolve slices against.
-type registered struct {
-	space space
-	off   int // offset of buf[0] within its space
-	buf   []byte
+// progPool recycles build state: a build appends to a pooled step slice and
+// seals an exact-size copy, so a plan costs one step allocation however
+// many steps it has.
+var progPool = sync.Pool{New: func() any { return new(prog) }}
+
+func newProg() *prog {
+	pg := progPool.Get().(*prog)
+	pg.steps, pg.scratchLen = pg.steps[:0], 0
+	return pg
 }
 
-// planRec records the steps an env performs instead of executing them.
-type planRec struct {
-	steps      []step
-	bases      []registered
-	scratchLen int
-	err        error
-}
-
-func newPlanRec() *planRec { return &planRec{} }
-
-// registerBuf allocates and registers the primary buffer space.
-func (r *planRec) registerBuf(n int) []byte {
-	b := make([]byte, n)
-	r.bases = append(r.bases, registered{space: spaceBuf, buf: b})
-	return b
-}
-
-// registerTmp allocates and registers the scratch-vector space.
-func (r *planRec) registerTmp(n int) []byte {
-	b := make([]byte, n)
-	r.bases = append(r.bases, registered{space: spaceTmp, buf: b})
-	return b
-}
-
-// alloc bump-allocates a chunk of the scratch arena, registering it so
-// later slices into it resolve.
-func (r *planRec) alloc(n int) []byte {
-	b := make([]byte, n)
-	r.bases = append(r.bases, registered{space: spaceScratch, off: r.scratchLen, buf: b})
-	r.scratchLen += n
-	return b
-}
-
-func (r *planRec) add(st step) {
-	if r.err == nil {
-		r.steps = append(r.steps, st)
-	}
-}
-
-// ref resolves a slice to the registered buffer containing it. Every
-// payload slice the executors touch is a subslice of a registered base;
-// an unresolvable slice is an executor bug, reported at build time.
-func (r *planRec) ref(p []byte) bufRef {
-	if len(p) == 0 {
-		return bufRef{space: spaceNone}
-	}
-	for i := range r.bases {
-		b := &r.bases[i]
-		off := cap(b.buf) - cap(p)
-		if off < 0 || off+len(p) > len(b.buf) {
-			continue
+// finish seals the build into an executable plan whose vector is bufLen
+// bytes. Tmp is declared only as far as the steps reach into it: the
+// combine scratch of a shape with no short stage is never touched, and a
+// vector nobody touches should not cost its caller a staging buffer.
+func (pg *prog) finish(bufLen int, dt datatype.Type, op datatype.Op) *Plan {
+	tmpLen := 0
+	for i := range pg.steps {
+		st := &pg.steps[i]
+		if st.a.space == spaceTmp {
+			tmpLen = max(tmpLen, st.a.off+st.n)
 		}
-		if &b.buf[off] != &p[0] {
-			continue
+		if st.b.space == spaceTmp {
+			n := st.n
+			if st.op == opSendRecv {
+				n = st.n2
+			}
+			tmpLen = max(tmpLen, st.b.off+n)
 		}
-		return bufRef{space: b.space, off: b.off + off}
 	}
-	if r.err == nil {
-		r.err = fmt.Errorf("core: plan recorder: %d-byte slice outside registered buffers", len(p))
-	}
-	return bufRef{space: spaceNone}
-}
-
-// finish seals the recording into an executable plan.
-func (r *planRec) finish(bufLen, tmpLen int, dt datatype.Type, op datatype.Op) (*Plan, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	return &Plan{
-		steps:      r.steps,
+	pl := &Plan{
+		steps:      append([]step(nil), pg.steps...),
 		BufLen:     bufLen,
 		TmpLen:     tmpLen,
-		ScratchLen: r.scratchLen,
+		ScratchLen: pg.scratchLen,
 		DT:         dt,
 		CombineOp:  op,
-	}, nil
+	}
+	progPool.Put(pg)
+	return pl
 }

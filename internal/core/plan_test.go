@@ -10,11 +10,9 @@ import (
 	"repro/internal/model"
 )
 
-// execPlan builds scratch-sized buffers and replays a plan.
+// execPlan runs a plan on buf and tmp.
 func execPlan(c Ctx, pl *Plan, buf, tmp []byte) error {
-	return pl.Execute(c.EP, c.Machine, Buffers{
-		Buf: buf, Tmp: tmp, Scratch: make([]byte, pl.ScratchLen),
-	})
+	return c.Run(Buffers{Buf: buf, Tmp: tmp})(pl, nil)
 }
 
 // TestPlanBcastMatchesDirect: a recorded broadcast plan, replayed twice,
@@ -325,11 +323,10 @@ func TestPlanHier(t *testing.T) {
 	})
 }
 
-// TestPlanValidation: plan construction rejects the same bad arguments the
-// executing entry points do.
+// TestPlanValidation: plan construction rejects bad arguments.
 func TestPlanValidation(t *testing.T) {
 	runWorld(t, 3, func(c Ctx) error {
-		s := flatShape(3)
+		s := linShape(3, 0)
 		if _, err := BuildBcast(c, s, 5, 4, 1); err == nil {
 			return fmt.Errorf("bad root accepted")
 		}
@@ -353,7 +350,7 @@ func TestPlanValidation(t *testing.T) {
 // data-carrying transport instead of panicking.
 func TestPlanBufferCheck(t *testing.T) {
 	runWorld(t, 2, func(c Ctx) error {
-		pl, err := BuildAllReduce(c, flatShape(2), 8, datatype.Int64, datatype.Sum)
+		pl, err := BuildAllReduce(c, linShape(2, 0), 8, datatype.Int64, datatype.Sum)
 		if err != nil {
 			return err
 		}

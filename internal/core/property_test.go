@@ -58,7 +58,7 @@ func TestPropScatterGatherIdentity(t *testing.T) {
 			if c.Me == sc.root {
 				copy(buf, orig)
 			}
-			if err := Scatter(c, sc.shape, sc.root, buf, sc.counts, 1); err != nil {
+			if err := c.Run(Buffers{Buf: buf})(BuildScatter(c, sc.shape, sc.root, sc.counts, 1)); err != nil {
 				return err
 			}
 			// Zero everything but my segment, then gather back.
@@ -67,7 +67,7 @@ func TestPropScatterGatherIdentity(t *testing.T) {
 				buf[i] = 0
 			}
 			copy(buf[offs[c.Me]:offs[c.Me+1]], seg)
-			if err := Gather(c, sc.shape, sc.root, buf, sc.counts, 1); err != nil {
+			if err := c.Run(Buffers{Buf: buf})(BuildGather(c, sc.shape, sc.root, sc.counts, 1)); err != nil {
 				return err
 			}
 			if c.Me == sc.root && !bytes.Equal(buf, orig) {
@@ -101,16 +101,16 @@ func TestPropReduceScatterPlusCollectIsAllReduce(t *testing.T) {
 			bufA := make([]byte, total*8)
 			tmp := make([]byte, total*8)
 			datatype.PutInt64s(bufA, inputs[c.Me])
-			if err := ReduceScatter(c, sc.shape, bufA, tmp, sc.counts, datatype.Int64, datatype.Sum); err != nil {
+			if err := c.Run(Buffers{Buf: bufA, Tmp: tmp})(BuildReduceScatter(c, sc.shape, sc.counts, datatype.Int64, datatype.Sum)); err != nil {
 				return err
 			}
-			if err := Collect(c, sc.shape, bufA, sc.counts, 8); err != nil {
+			if err := c.Run(Buffers{Buf: bufA})(BuildCollect(c, sc.shape, sc.counts, 8)); err != nil {
 				return err
 			}
 			// Path B: all-reduce.
 			bufB := make([]byte, total*8)
 			datatype.PutInt64s(bufB, inputs[c.Me])
-			if err := AllReduce(c, sc.shape, bufB, tmp, total, datatype.Int64, datatype.Sum); err != nil {
+			if err := c.Run(Buffers{Buf: bufB, Tmp: tmp})(BuildAllReduce(c, sc.shape, total, datatype.Int64, datatype.Sum)); err != nil {
 				return err
 			}
 			if !bytes.Equal(bufA, bufB) {
@@ -137,15 +137,15 @@ func TestPropCollectEqualsGatherBcast(t *testing.T) {
 		runWorld(t, sc.p, func(c Ctx) error {
 			bufA := make([]byte, total)
 			copy(bufA[offs[c.Me]:offs[c.Me+1]], segs[c.Me])
-			if err := Collect(c, sc.shape, bufA, sc.counts, 1); err != nil {
+			if err := c.Run(Buffers{Buf: bufA})(BuildCollect(c, sc.shape, sc.counts, 1)); err != nil {
 				return err
 			}
 			bufB := make([]byte, total)
 			copy(bufB[offs[c.Me]:offs[c.Me+1]], segs[c.Me])
-			if err := Gather(c, sc.shape, sc.root, bufB, sc.counts, 1); err != nil {
+			if err := c.Run(Buffers{Buf: bufB})(BuildGather(c, sc.shape, sc.root, sc.counts, 1)); err != nil {
 				return err
 			}
-			if err := Bcast(c, sc.shape, sc.root, bufB, total, 1); err != nil {
+			if err := c.Run(Buffers{Buf: bufB})(BuildBcast(c, sc.shape, sc.root, total, 1)); err != nil {
 				return err
 			}
 			if !bytes.Equal(bufA, bufB) {
@@ -171,7 +171,7 @@ func TestPropBcastFromEveryRootAgrees(t *testing.T) {
 			if c.Me == sc.root {
 				copy(buf, want)
 			}
-			if err := Bcast(c, sc.shape, sc.root, buf, n, 1); err != nil {
+			if err := c.Run(Buffers{Buf: buf})(BuildBcast(c, sc.shape, sc.root, n, 1)); err != nil {
 				return err
 			}
 			if !bytes.Equal(buf, want) {
@@ -206,10 +206,10 @@ func TestPropReduceMatchesAllReduce(t *testing.T) {
 			tmp := make([]byte, count*8)
 			datatype.PutInt64s(bufA, inputs[c.Me])
 			datatype.PutInt64s(bufB, inputs[c.Me])
-			if err := Reduce(c, sc.shape, sc.root, bufA, tmp, count, datatype.Int64, datatype.Sum); err != nil {
+			if err := c.Run(Buffers{Buf: bufA, Tmp: tmp})(BuildReduce(c, sc.shape, sc.root, count, datatype.Int64, datatype.Sum)); err != nil {
 				return err
 			}
-			if err := AllReduce(c, sc.shape, bufB, tmp, count, datatype.Int64, datatype.Sum); err != nil {
+			if err := c.Run(Buffers{Buf: bufB, Tmp: tmp})(BuildAllReduce(c, sc.shape, count, datatype.Int64, datatype.Sum)); err != nil {
 				return err
 			}
 			if c.Me == sc.root && !bytes.Equal(bufA, bufB) {

@@ -47,7 +47,7 @@ func TestSimMatchesModelMST(t *testing.T) {
 		for _, n := range []int{0, 64, 1000} {
 			s := model.MSTShape(group.Linear(p))
 			got := simT(t, 1, p, m, false, func(c Ctx) error {
-				return Bcast(c, s, 0, nil, n, 1)
+				return c.Run(Buffers{})(BuildBcast(c, s, 0, n, 1))
 			})
 			want := m.Cost(model.Bcast, s, float64(n))
 			if math.Abs(got-want) > 1e-9*math.Max(1, want) {
@@ -65,7 +65,7 @@ func TestSimMatchesModelBucket(t *testing.T) {
 		n := 64 * p // divisible: every bucket equal, model exact
 		s := model.BucketShape(group.Linear(p))
 		got := simT(t, 1, p, m, false, func(c Ctx) error {
-			return Bcast(c, s, 0, nil, n, 1)
+			return c.Run(Buffers{})(BuildBcast(c, s, 0, n, 1))
 		})
 		want := m.Cost(model.Bcast, s, float64(n))
 		if math.Abs(got-want) > 1e-9*want {
@@ -82,7 +82,7 @@ func TestSimMatchesModelAllReduce(t *testing.T) {
 		n := 16 * p
 		s := model.BucketShape(group.Linear(p))
 		got := simT(t, 1, p, m, false, func(c Ctx) error {
-			return AllReduce(c, s, nil, nil, n, datatype.Uint8, datatype.Sum)
+			return c.Run(Buffers{})(BuildAllReduce(c, s, n, datatype.Uint8, datatype.Sum))
 		})
 		want := m.Cost(model.AllReduce, s, float64(n))
 		if math.Abs(got-want) > 1e-9*want {
@@ -101,7 +101,7 @@ func TestSimMatchesModelMeshCollect(t *testing.T) {
 	s := model.BucketShape(group.Mesh2D(rows, cols))
 	counts := equalCounts(n, p)
 	got := simT(t, rows, cols, m, false, func(c Ctx) error {
-		return Collect(c, s, nil, counts, 1)
+		return c.Run(Buffers{})(BuildCollect(c, s, counts, 1))
 	})
 	want := m.Cost(model.Collect, s, float64(n))
 	if math.Abs(got-want) > 1e-9*want {
@@ -109,7 +109,7 @@ func TestSimMatchesModelMeshCollect(t *testing.T) {
 	}
 	// And the α count is (r+c-2) = 10 at n≈0.
 	got0 := simT(t, rows, cols, m, false, func(c Ctx) error {
-		return Collect(c, s, nil, equalCounts(0, p), 1)
+		return c.Run(Buffers{})(BuildCollect(c, s, equalCounts(0, p), 1))
 	})
 	if math.Abs(got0-float64(rows+cols-2)*m.Alpha) > 1e-9 {
 		t.Errorf("mesh collect latency: sim %.6g, want %.6g", got0, float64(rows+cols-2)*m.Alpha)
@@ -133,7 +133,7 @@ func TestSimHybridCrossover(t *testing.T) {
 	}, ShortFrom: 2} // (5x6, SSCC)
 	run := func(s model.Shape, n int) float64 {
 		return simT(t, 1, 30, m, false, func(c Ctx) error {
-			return Bcast(c, s, 0, nil, n, 1)
+			return c.Run(Buffers{})(BuildBcast(c, s, 0, n, 1))
 		})
 	}
 	short, mid, long := 8, 65536, 4<<20
@@ -164,7 +164,7 @@ func TestSimCarryCorrectness(t *testing.T) {
 				if c.Me == 5 {
 					copy(buf, want)
 				}
-				if err := Bcast(c, s, 5, buf, count, 1); err != nil {
+				if err := c.Run(Buffers{Buf: buf})(BuildBcast(c, s, 5, count, 1)); err != nil {
 					return err
 				}
 				if !bytes.Equal(buf, want) {
@@ -176,7 +176,7 @@ func TestSimCarryCorrectness(t *testing.T) {
 				}
 				ab, tb := make([]byte, 56), make([]byte, 56)
 				datatype.PutInt64s(ab, in)
-				if err := AllReduce(c, s, ab, tb, 7, datatype.Int64, datatype.Sum); err != nil {
+				if err := c.Run(Buffers{Buf: ab, Tmp: tb})(BuildAllReduce(c, s, 7, datatype.Int64, datatype.Sum)); err != nil {
 					return err
 				}
 				got := datatype.Int64s(ab)
@@ -203,11 +203,11 @@ func TestStepOverheadCharged(t *testing.T) {
 	m := plainMachine()
 	s := model.MSTShape(group.Linear(4))
 	base := simT(t, 1, 4, m, false, func(c Ctx) error {
-		return Bcast(c, s, 0, nil, 100, 1)
+		return c.Run(Buffers{})(BuildBcast(c, s, 0, 100, 1))
 	})
 	m.StepOverhead = 3
 	with := simT(t, 1, 4, m, false, func(c Ctx) error {
-		return Bcast(c, s, 0, nil, 100, 1)
+		return c.Run(Buffers{})(BuildBcast(c, s, 0, 100, 1))
 	})
 	if diff := with - base; math.Abs(diff-2*3) > 1e-9 {
 		t.Errorf("step overhead on MST path = %v, want %v", diff, 2*3)
@@ -215,11 +215,11 @@ func TestStepOverheadCharged(t *testing.T) {
 	long := model.BucketShape(group.Linear(4))
 	b0 := simT(t, 1, 4, plainMachine(), false, func(c Ctx) error {
 		counts := equalCounts(400, 4)
-		return Collect(c, long, nil, counts, 1)
+		return c.Run(Buffers{})(BuildCollect(c, long, counts, 1))
 	})
 	b1 := simT(t, 1, 4, m, false, func(c Ctx) error {
 		counts := equalCounts(400, 4)
-		return Collect(c, long, nil, counts, 1)
+		return c.Run(Buffers{})(BuildCollect(c, long, counts, 1))
 	})
 	if b0 != b1 {
 		t.Errorf("bucket collect charged step overhead: %v vs %v", b0, b1)

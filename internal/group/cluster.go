@@ -51,24 +51,6 @@ func NewCluster(of []int) (Cluster, error) {
 	return c, nil
 }
 
-// ClusterFromLayout infers a partition from a physical layout: each slice
-// along the outermost (largest-stride) dimension becomes one cluster. For
-// a rows×cols mesh this makes every physical row a cluster, matching the
-// usual deployment where a row of the logical mesh maps onto one multi-core
-// node.
-func ClusterFromLayout(l Layout) (Cluster, error) {
-	if err := l.Validate(); err != nil {
-		return Cluster{}, err
-	}
-	outer := len(l.Extents) - 1
-	stride := l.Stride(outer)
-	of := make([]int, l.P())
-	for i := range of {
-		of[i] = i / stride
-	}
-	return NewCluster(of)
-}
-
 // P returns the number of logical nodes the partition covers.
 func (c Cluster) P() int { return len(c.of) }
 

@@ -40,7 +40,7 @@ func TestNewClusterNormalizes(t *testing.T) {
 	}
 }
 
-func TestClusterBySizeAndLayout(t *testing.T) {
+func TestClusterBySize(t *testing.T) {
 	tp, err := TopologyBySizes(10, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -51,21 +51,6 @@ func TestClusterBySizeAndLayout(t *testing.T) {
 	}
 	if !c.Contiguous() {
 		t.Fatal("block partition not contiguous")
-	}
-
-	// Each physical row of a 3×4 mesh becomes one cluster.
-	cl, err := ClusterFromLayout(Mesh2D(3, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl.K() != 3 {
-		t.Fatalf("K=%d", cl.K())
-	}
-	if got := cl.Members(1); !reflect.DeepEqual(got, []int{4, 5, 6, 7}) {
-		t.Fatalf("row 1 members %v", got)
-	}
-	if !cl.Contiguous() {
-		t.Fatal("row partition not contiguous")
 	}
 }
 

@@ -64,7 +64,7 @@ func Validate(members []int, worldSize int) error {
 	if len(members) == 0 {
 		return fmt.Errorf("group: empty member list")
 	}
-	seen := make(map[int]bool, len(members))
+	seen := make([]bool, worldSize)
 	for i, m := range members {
 		if m < 0 || m >= worldSize {
 			return fmt.Errorf("group: member %d is rank %d, world size %d", i, m, worldSize)

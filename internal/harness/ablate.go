@@ -40,14 +40,14 @@ func AblatePipelined(p, nBytes int, noiseAlphas []float64) (Table, error) {
 		}
 		scRes, err := simnet.Run(cfg, func(ep *simnet.Endpoint) error {
 			c := iccCtx(ep)
-			return core.Bcast(c, sc, 0, nil, nBytes, 1)
+			return c.Run(core.Buffers{})(core.BuildBcast(c, sc, 0, nBytes, 1))
 		})
 		if err != nil {
 			return t, err
 		}
 		plRes, err := simnet.Run(cfg, func(ep *simnet.Endpoint) error {
 			c := iccCtx(ep)
-			return core.PipelinedBcast(c, 0, nil, nBytes, 1, blocks)
+			return c.Run(core.Buffers{})(core.BuildPipelinedBcast(c, 0, nBytes, 1, blocks))
 		})
 		if err != nil {
 			return t, err

@@ -42,7 +42,7 @@ func runSwitchedAllToAll(p, n int, m model.Machine, s model.Shape) (float64, err
 		c := core.NewCtx(ep, 1)
 		mach := m
 		c.Machine = &mach
-		return core.AllToAll(c, s, nil, nil, n/p, 1)
+		return c.Run(core.Buffers{})(core.BuildAllToAll(c, s, n/p, 1))
 	})
 	if err != nil {
 		return 0, err

@@ -63,14 +63,14 @@ func CubeBroadcasts(p int, lengths []int, noise float64) (Table, error) {
 	for _, n := range lengths {
 		row := []string{bytesLabel(n)}
 		runs := []func(c core.Ctx) error{
-			func(c core.Ctx) error { return core.Bcast(c, mst, 0, nil, n, 1) },
-			func(c core.Ctx) error { return core.Bcast(c, sc, 0, nil, n, 1) },
-			func(c core.Ctx) error { return core.EDSTBcast(c, 0, nil, n, 1) },
+			func(c core.Ctx) error { return c.Run(core.Buffers{})(core.BuildBcast(c, mst, 0, n, 1)) },
+			func(c core.Ctx) error { return c.Run(core.Buffers{})(core.BuildBcast(c, sc, 0, n, 1)) },
+			func(c core.Ctx) error { return c.Run(core.Buffers{})(core.BuildEDSTBcast(c, 0, n, 1)) },
 			func(c core.Ctx) error {
 				g := c
 				g.Members = gray
 				g.Me = group.Index(gray, c.EP.Rank())
-				return core.PipelinedBcast(g, 0, nil, n, 1, core.OptimalBlocks(m, p, n))
+				return g.Run(core.Buffers{})(core.BuildPipelinedBcast(g, 0, n, 1, core.OptimalBlocks(m, p, n)))
 			},
 		}
 		for _, fn := range runs {

@@ -42,7 +42,7 @@ func Fig1() (string, error) {
 				buf[i] = byte(i) // marker elements
 			}
 		}
-		return core.Bcast(c, shape, 0, buf, n, 1)
+		return c.Run(core.Buffers{Buf: buf})(core.BuildBcast(c, shape, 0, n, 1))
 	})
 	if err != nil {
 		return "", err

@@ -70,7 +70,7 @@ func GroupStructureStudy(rows, cols int, lengths []int) (Table, error) {
 					c := core.Ctx{EP: ep, Members: members, Me: me, Coll: 1}
 					mach := m
 					c.Machine = &mach
-					return core.Collect(c, shape, nil, counts, 1)
+					return c.Run(core.Buffers{})(core.BuildCollect(c, shape, counts, 1))
 				})
 			if err != nil {
 				return t, fmt.Errorf("%s n=%d: %w", gr.name, n, err)

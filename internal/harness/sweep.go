@@ -28,21 +28,21 @@ func runCollective(coll model.Collective, rows, cols, n int, m model.Machine, s 
 			counts := core.EqualCounts(n, p)
 			switch coll {
 			case model.Bcast:
-				return core.Bcast(c, s, 0, nil, n, 1)
+				return c.Run(core.Buffers{})(core.BuildBcast(c, s, 0, n, 1))
 			case model.Reduce:
-				return core.Reduce(c, s, 0, nil, nil, n, datatype.Uint8, datatype.Sum)
+				return c.Run(core.Buffers{})(core.BuildReduce(c, s, 0, n, datatype.Uint8, datatype.Sum))
 			case model.Scatter:
-				return core.Scatter(c, s, 0, nil, counts, 1)
+				return c.Run(core.Buffers{})(core.BuildScatter(c, s, 0, counts, 1))
 			case model.Gather:
-				return core.Gather(c, s, 0, nil, counts, 1)
+				return c.Run(core.Buffers{})(core.BuildGather(c, s, 0, counts, 1))
 			case model.Collect:
-				return core.Collect(c, s, nil, counts, 1)
+				return c.Run(core.Buffers{})(core.BuildCollect(c, s, counts, 1))
 			case model.ReduceScatter:
-				return core.ReduceScatter(c, s, nil, nil, counts, datatype.Uint8, datatype.Sum)
+				return c.Run(core.Buffers{})(core.BuildReduceScatter(c, s, counts, datatype.Uint8, datatype.Sum))
 			case model.AllToAll:
-				return core.AllToAll(c, s, nil, nil, n/p, 1)
+				return c.Run(core.Buffers{})(core.BuildAllToAll(c, s, n/p, 1))
 			default:
-				return core.AllReduce(c, s, nil, nil, n, datatype.Uint8, datatype.Sum)
+				return c.Run(core.Buffers{})(core.BuildAllReduce(c, s, n, datatype.Uint8, datatype.Sum))
 			}
 		})
 	if err != nil {

@@ -81,11 +81,11 @@ func RunICC(op Op, rows, cols, n int, m model.Machine, s model.Shape) (float64, 
 		c := iccCtx(ep)
 		switch op {
 		case OpBcast:
-			return core.Bcast(c, s, 0, nil, n, 1)
+			return c.Run(core.Buffers{})(core.BuildBcast(c, s, 0, n, 1))
 		case OpCollect:
-			return core.Collect(c, s, nil, core.EqualCounts(n, p), 1)
+			return c.Run(core.Buffers{})(core.BuildCollect(c, s, core.EqualCounts(n, p), 1))
 		default:
-			return core.AllReduce(c, s, nil, nil, n/8, datatype.Float64, datatype.Sum)
+			return c.Run(core.Buffers{})(core.BuildAllReduce(c, s, n/8, datatype.Float64, datatype.Sum))
 		}
 	})
 }

@@ -85,7 +85,7 @@ func TestCollectiveThroughReconnect(t *testing.T) {
 			tmp := make([]byte, count*8)
 			datatype.PutInt64s(buf, in)
 			c := core.NewCtx(ep, uint32(it+1))
-			if err := core.AllReduce(c, long, buf, tmp, count, datatype.Int64, datatype.Sum); err != nil {
+			if err := c.Run(core.Buffers{Buf: buf, Tmp: tmp})(core.BuildAllReduce(c, long, count, datatype.Int64, datatype.Sum)); err != nil {
 				return fmt.Errorf("iter %d: %w", it, err)
 			}
 			got := datatype.Int64s(buf)

@@ -196,7 +196,7 @@ func TestCollectivesOverTCP(t *testing.T) {
 				buf[i] = byte(i)
 			}
 		}
-		if err := core.Bcast(c, shape, 0, buf, 100, 1); err != nil {
+		if err := c.Run(core.Buffers{Buf: buf})(core.BuildBcast(c, shape, 0, 100, 1)); err != nil {
 			return err
 		}
 		for i := range buf {
@@ -212,7 +212,7 @@ func TestCollectivesOverTCP(t *testing.T) {
 		tb := make([]byte, 40)
 		datatype.PutInt64s(ab, in)
 		c2 := core.NewCtx(ep, 2)
-		if err := core.AllReduce(c2, long, ab, tb, 5, datatype.Int64, datatype.Sum); err != nil {
+		if err := c2.Run(core.Buffers{Buf: ab, Tmp: tb})(core.BuildAllReduce(c2, long, 5, datatype.Int64, datatype.Sum)); err != nil {
 			return err
 		}
 		got := datatype.Int64s(ab)

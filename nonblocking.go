@@ -1,97 +1,62 @@
 package icc
 
-// Non-blocking collectives: each I* variant validates its arguments,
-// resolves a cached plan (recording it on first use) and enqueues the
-// execution on the communicator's progress goroutine, returning a Request
-// immediately. The caller overlaps computation with the collective and
-// completes it with Wait or polls with Test. Requests on one communicator
-// execute strictly in issue order, so the SPMD discipline is the same as
-// for the blocking calls: every member issues the same collectives in the
-// same order. The argument buffers must not be touched between issue and
-// completion.
+// Non-blocking collectives: each I* variant validates its arguments, finds
+// or builds the cached plan and enqueues its execution on the
+// communicator's progress goroutine, returning a Request immediately. The
+// caller overlaps computation with the collective and completes it with
+// Wait or polls with Test. Requests on one communicator execute strictly in
+// issue order, so the SPMD discipline is the same as for the blocking
+// calls: every member issues the same collectives in the same order. The
+// argument buffers must not be touched between issue and completion.
 
-// issueNB validates a bound plan and hands it to the progress engine.
-func (c *Comm) issueNB(kind planKind, key planKey, nBytes, segBytes int, send, recv []byte) (*Request, error) {
-	if err := c.guard(); err != nil {
-		return nil, err
-	}
-	pl, err := c.plan(key, nBytes)
+// issue is the non-blocking completion mode: validate the bound buffers and
+// hand the plan to the progress engine.
+func issue(b boundPlan, err error) (*Request, error) {
+	b, err = later(b, err)
 	if err != nil {
 		return nil, err
 	}
-	b := &boundPlan{c: c, kind: kind, pl: pl, send: send, recv: recv, n: segBytes, root: key.root}
-	if err := b.check(); err != nil {
-		return nil, err
-	}
 	req := newRequest()
-	c.prog.issue(b.run, req)
+	b.c.prog.issue(b.run, req)
 	return req, nil
 }
 
 // IBcast is the non-blocking Bcast.
 func (c *Comm) IBcast(buf []byte, count int, dt Type, root int) (*Request, error) {
-	n, err := c.vecBytes(count, dt, 1)
-	if err != nil {
-		return nil, err
-	}
-	return c.issueNB(planBcast, planKey{kind: planBcast, root: root, count: count, dt: dt}, n, n, buf, nil)
+	return issue(c.bcast(buf, count, dt, root))
 }
 
 // IReduce is the non-blocking Reduce.
 func (c *Comm) IReduce(send, recv []byte, count int, dt Type, op Op, root int) (*Request, error) {
-	n, err := c.vecBytes(count, dt, 1)
-	if err != nil {
-		return nil, err
-	}
-	return c.issueNB(planReduce, planKey{kind: planReduce, root: root, count: count, dt: dt, op: op}, n, n, send, recv)
+	return issue(c.reduce(send, recv, count, dt, op, root))
 }
 
 // IAllReduce is the non-blocking AllReduce.
 func (c *Comm) IAllReduce(send, recv []byte, count int, dt Type, op Op) (*Request, error) {
-	n, err := c.vecBytes(count, dt, 1)
-	if err != nil {
-		return nil, err
-	}
-	return c.issueNB(planAllReduce, planKey{kind: planAllReduce, count: count, dt: dt, op: op}, n, n, send, recv)
+	return issue(c.allReduce(send, recv, count, dt, op))
 }
 
 // IScatter is the non-blocking equal-count Scatter.
 func (c *Comm) IScatter(send, recv []byte, count int, dt Type, root int) (*Request, error) {
-	total, err := c.vecBytes(count, dt, c.Size())
-	if err != nil {
-		return nil, err
-	}
-	return c.issueNB(planScatter, planKey{kind: planScatter, root: root, count: count, dt: dt}, total, count*dt.Size(), send, recv)
+	return issue(c.scatter(send, count, nil, false, recv, dt, root))
 }
 
 // IGather is the non-blocking equal-count Gather.
 func (c *Comm) IGather(send, recv []byte, count int, dt Type, root int) (*Request, error) {
-	total, err := c.vecBytes(count, dt, c.Size())
-	if err != nil {
-		return nil, err
-	}
-	return c.issueNB(planGather, planKey{kind: planGather, root: root, count: count, dt: dt}, total, count*dt.Size(), send, recv)
+	return issue(c.gather(send, count, nil, false, recv, dt, root))
 }
 
 // ICollect is the non-blocking equal-count Collect.
 func (c *Comm) ICollect(send, recv []byte, count int, dt Type) (*Request, error) {
-	total, err := c.vecBytes(count, dt, c.Size())
-	if err != nil {
-		return nil, err
-	}
-	return c.issueNB(planCollect, planKey{kind: planCollect, count: count, dt: dt}, total, count*dt.Size(), send, recv)
+	return issue(c.collect(send, count, nil, false, recv, dt))
 }
 
 // IAllToAll is the non-blocking equal-count AllToAll.
 func (c *Comm) IAllToAll(send, recv []byte, count int, dt Type) (*Request, error) {
-	total, err := c.vecBytes(count, dt, c.Size())
-	if err != nil {
-		return nil, err
-	}
-	return c.issueNB(planAllToAll, planKey{kind: planAllToAll, count: count, dt: dt}, total, count*dt.Size(), send, recv)
+	return issue(c.allToAll(send, recv, count, dt))
 }
 
 // IBarrier is the non-blocking Barrier.
 func (c *Comm) IBarrier() (*Request, error) {
-	return c.issueNB(planBarrier, planKey{kind: planBarrier, dt: Uint8}, 0, 0, nil, nil)
+	return issue(c.barrier())
 }

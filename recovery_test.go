@@ -177,11 +177,31 @@ func recShrinkBody(c *icc.Comm, outs [][][]byte, mems [][]int, epochs []int, sta
 	mems[world] = s.Members()
 	epochs[world] = s.Epoch()
 	// The pre-shrink communicator must refuse every path with
-	// ErrStaleEpoch: blocking, non-blocking, persistent.
-	staleErrs[world] = make([]error, 3)
-	staleErrs[world][0] = c.Barrier()
-	_, staleErrs[world][1] = c.IAllReduce(send, recv, recCount, icc.Int64, icc.Sum)
-	_, staleErrs[world][2] = c.AllReduceInit(send, recv, recCount, icc.Int64, icc.Sum)
+	// ErrStaleEpoch: all sixteen blocking entry points (whatever their
+	// arguments: the epoch fence comes first), non-blocking, persistent.
+	counts := make([]int, c.Size())
+	_, ierr := c.IAllReduce(send, recv, recCount, icc.Int64, icc.Sum)
+	_, perr := c.AllReduceInit(send, recv, recCount, icc.Int64, icc.Sum)
+	staleErrs[world] = []error{
+		c.Bcast(send, recCount, icc.Int64, 0),
+		c.Reduce(send, recv, recCount, icc.Int64, icc.Sum, 0),
+		c.AllReduce(send, recv, recCount, icc.Int64, icc.Sum),
+		c.Scatter(send, recv, 0, icc.Int64, 0),
+		c.Scatterv(send, counts, recv, icc.Int64, 0),
+		c.Gather(send, recv, 0, icc.Int64, 0),
+		c.Gatherv(send, counts, recv, icc.Int64, 0),
+		c.Collect(send, recv, 0, icc.Int64),
+		c.Collectv(send, counts, recv, icc.Int64),
+		c.ReduceScatter(send, counts, recv, icc.Int64, icc.Sum),
+		c.AllToAll(send, recv, 0, icc.Int64),
+		c.AllToAllv(send, counts, recv, counts, icc.Int64),
+		c.Barrier(),
+		c.BcastPipelined(send, recCount, icc.Int64, 0, 0),
+		c.BcastEDST(send, recCount, icc.Int64, 0),
+		c.AllReduceHypercube(send, recv, recCount, icc.Int64, icc.Sum),
+		ierr,
+		perr,
+	}
 	// Full conformance on the successor.
 	if err := runConfProgram(s, recCount, outs); err != nil {
 		return fmt.Errorf("post-shrink conformance: %w", err)

@@ -123,6 +123,31 @@ func valCases(p int) []valCase {
 			return c.AllToAllv(all(), goodCounts, short(), goodCounts, icc.Int64)
 		}},
 
+		// The three specials go through the same funnel as the thirteen.
+		// Every group size of the suite is a power of two, as the cube
+		// algorithms require, so nothing but the bad argument can fail.
+		{"BcastPipelined/negative-count", -1, func(c *icc.Comm) error { return c.BcastPipelined(seg(), -1, icc.Int64, root, 2) }},
+		{"BcastPipelined/overflow", -1, func(c *icc.Comm) error { return c.BcastPipelined(seg(), huge, icc.Int64, root, 0) }},
+		{"BcastPipelined/root-low", -1, func(c *icc.Comm) error { return c.BcastPipelined(seg(), valCount, icc.Int64, -1, 0) }},
+		{"BcastPipelined/root-high", -1, func(c *icc.Comm) error { return c.BcastPipelined(seg(), valCount, icc.Int64, p, 2) }},
+		{"BcastPipelined/short-buf", -1, func(c *icc.Comm) error { return c.BcastPipelined(short(), valCount, icc.Int64, root, 0) }},
+		{"BcastEDST/negative-count", -1, func(c *icc.Comm) error { return c.BcastEDST(seg(), -1, icc.Int64, root) }},
+		{"BcastEDST/overflow", -1, func(c *icc.Comm) error { return c.BcastEDST(seg(), huge, icc.Int64, root) }},
+		{"BcastEDST/root-high", -1, func(c *icc.Comm) error { return c.BcastEDST(seg(), valCount, icc.Int64, p) }},
+		{"BcastEDST/short-buf", -1, func(c *icc.Comm) error { return c.BcastEDST(short(), valCount, icc.Int64, root) }},
+		{"AllReduceHypercube/negative-count", -1, func(c *icc.Comm) error {
+			return c.AllReduceHypercube(seg(), seg(), -1, icc.Int64, icc.Sum)
+		}},
+		{"AllReduceHypercube/overflow", -1, func(c *icc.Comm) error {
+			return c.AllReduceHypercube(seg(), seg(), huge, icc.Int64, icc.Sum)
+		}},
+		{"AllReduceHypercube/short-send", -1, func(c *icc.Comm) error {
+			return c.AllReduceHypercube(short(), seg(), valCount, icc.Int64, icc.Sum)
+		}},
+		{"AllReduceHypercube/short-recv", -1, func(c *icc.Comm) error {
+			return c.AllReduceHypercube(seg(), short(), valCount, icc.Int64, icc.Sum)
+		}},
+
 		// Non-blocking variants validate before enqueueing anything; only
 		// cases that fail on every rank are safe to issue SPMD-wide.
 		{"IBcast/negative-count", -1, func(c *icc.Comm) error { _, err := c.IBcast(seg(), -1, icc.Int64, root); return err }},
